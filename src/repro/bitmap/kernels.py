@@ -1,13 +1,11 @@
-"""Vectorized WAH kernels: bulk run-array operations over word streams.
+"""WAH kernels: bulk run-array operations over ``uint32`` word arrays.
 
-The scalar :class:`~repro.bitmap.wah.WahBitmap` operations walk the
-compressed word stream one code word at a time in Python, dispatching a
-lambda per 31-bit group.  That per-word interpreter is the hot path of
-every query this reproduction executes (all plan algebra bottoms out in
-OR / ANDNOT merges), so this module re-implements the same algebra as
-bulk numpy segment operations:
+Every :class:`~repro.bitmap.wah.WahBitmap` operation is implemented
+here as whole-array numpy work, so its cost follows the number of
+compressed words (or, for ``to_positions``, of the positions it
+returns) rather than a Python loop per word or per bit:
 
-1. **decode** a word stream once into two parallel ``int64`` arrays —
+1. **decode** a word array into two parallel ``int64`` arrays —
    ``lengths`` (groups covered by each run) and ``payloads`` (the 31-bit
    payload replicated across the run: ``0`` / ``0x7FFFFFFF`` for fills,
    the literal word otherwise);
@@ -16,27 +14,20 @@ bulk numpy segment operations:
    the bitwise op to whole payload arrays at once;
 3. **re-encode** canonically — uniform segments collapse into fill
    words, adjacent same-value fills merge, and oversized fills split at
-   the 2^30-1 group limit — producing *bit-identical* word streams to
-   the scalar encoder.
+   the 2^30-1 group limit.
 
 The invariant the merge step relies on: a decoded run with a
 non-uniform payload always covers exactly one group (it came from a
 literal word), so any merged segment wider than one group is covered by
 fills on every input and therefore has a uniform result payload.
 
-Kernel dispatch is controlled by :func:`kernel_mode` (default
-``"numpy"``); the scalar implementation is kept as a reference oracle
-and can be forced with ``REPRO_WAH_KERNELS=scalar`` in the environment,
-:func:`set_kernel_mode`, or the :func:`use_kernel_mode` context manager
-(the property suite in ``tests/test_wah_kernels.py`` asserts word-level
-equality between the two paths).
+The per-word scalar encoder these kernels must agree with, word for
+word, lives with the tests (``tests/wah_reference.py``) as the oracle.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,16 +40,17 @@ __all__ = [
     "FILL_VALUE_BIT",
     "FILL_COUNT_MASK",
     "MAX_FILL_GROUPS",
-    "KERNEL_MODES",
-    "kernel_mode",
-    "set_kernel_mode",
-    "kernels_enabled",
-    "use_kernel_mode",
     "decode_words",
     "encode_runs",
+    "literals_to_words",
+    "check_words",
+    "expand_ranges",
+    "groups_for_bits",
     "binary_words",
     "union_all_words",
     "invert_words",
+    "concat_words",
+    "positions_words",
     "count_words",
     "popcount32",
 ]
@@ -70,62 +62,25 @@ FILL_VALUE_BIT = 1 << 30
 FILL_COUNT_MASK = (1 << 30) - 1
 MAX_FILL_GROUPS = FILL_COUNT_MASK
 
-#: Recognized dispatch modes: ``numpy`` (vectorized kernels, default)
-#: and ``scalar`` (the original per-word reference implementation).
-KERNEL_MODES = ("numpy", "scalar")
 
-_ENV_VAR = "REPRO_WAH_KERNELS"
-
-
-def _initial_mode() -> str:
-    raw = os.environ.get(_ENV_VAR, "numpy").strip().lower()
-    return raw if raw in KERNEL_MODES else "numpy"
+def groups_for_bits(num_bits: int) -> int:
+    """Number of 31-bit groups needed to hold ``num_bits`` bits."""
+    return -(-num_bits // WORD_PAYLOAD_BITS)
 
 
-_mode = _initial_mode()
-
-
-def kernel_mode() -> str:
-    """The active dispatch mode: ``"numpy"`` or ``"scalar"``."""
-    return _mode
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Set the dispatch mode; returns the previous mode.
-
-    ``"numpy"`` routes WAH operations through the vectorized kernels;
-    ``"scalar"`` forces the original per-word reference implementation.
-    """
-    global _mode
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"kernel mode must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    previous = _mode
-    _mode = mode
-    return previous
-
-
-def kernels_enabled() -> bool:
-    """Whether the vectorized kernel path is active."""
-    return _mode == "numpy"
-
-
-@contextmanager
-def use_kernel_mode(mode: str) -> Iterator[None]:
-    """Temporarily switch the dispatch mode (restores on exit)."""
-    previous = set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(previous)
+def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(start, start + length)`` for every range."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, lengths
+    )
 
 
 # ----------------------------------------------------------------------
-# Decode / encode between word streams and run arrays
+# Decode / encode between word arrays and run arrays
 # ----------------------------------------------------------------------
 def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a WAH word stream into ``(lengths, payloads)`` run arrays.
+    """Decode a WAH word array into ``(lengths, payloads)`` run arrays.
 
     ``lengths[i]`` is the number of 31-bit groups run ``i`` covers and
     ``payloads[i]`` the payload of every group in the run (``0`` or
@@ -149,37 +104,13 @@ def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
     return lengths, payloads
 
 
-def _split_oversized_fills(
-    lengths: np.ndarray,
-    payloads: np.ndarray,
-    uniform: np.ndarray,
-) -> list[int]:
-    """Slow path of :func:`encode_runs`: some fill exceeds the 30-bit
-    group count, so emit ``MAX_FILL_GROUPS``-sized words first and the
-    remainder last, exactly like the scalar encoder's split loop."""
-    words: list[int] = []
-    for length, payload, is_uniform in zip(
-        lengths.tolist(), payloads.tolist(), uniform.tolist()
-    ):
-        if not is_uniform:
-            words.append(payload)
-            continue
-        value_bit = FILL_VALUE_BIT if payload else 0
-        remaining = length
-        while remaining > 0:
-            take = min(remaining, MAX_FILL_GROUPS)
-            words.append(FILL_FLAG | value_bit | take)
-            remaining -= take
-    return words
+def encode_runs(lengths, payloads) -> np.ndarray:
+    """Canonically encode run arrays into a ``uint32`` WAH word array.
 
-
-def encode_runs(lengths, payloads) -> list[int]:
-    """Canonically encode run arrays back into a WAH word list.
-
-    Produces the exact word stream the scalar :class:`_WahEncoder`
-    would: uniform payloads become fill words, adjacent fills of the
-    same value merge (splitting at ``MAX_FILL_GROUPS``), and every
-    non-uniform group becomes one literal word.
+    Uniform payloads become fill words, adjacent fills of the same value
+    merge (splitting into ``MAX_FILL_GROUPS``-sized words first and the
+    remainder last), and every non-uniform group becomes one literal
+    word.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     payloads = np.asarray(payloads, dtype=np.int64)
@@ -189,7 +120,7 @@ def encode_runs(lengths, payloads) -> list[int]:
         payloads = payloads[keep]
     n = lengths.size
     if n == 0:
-        return []
+        return np.empty(0, dtype=np.uint32)
     uniform = (payloads == 0) | (payloads == LITERAL_PAYLOAD_MASK)
     if bool(np.any(~uniform & (lengths > 1))):
         # Defensive: a multi-group run with a non-uniform payload can
@@ -214,10 +145,19 @@ def encode_runs(lengths, payloads) -> list[int]:
     grp_lengths = np.add.reduceat(lengths, idx)
     grp_payloads = payloads[idx]
     grp_uniform = uniform[idx]
-    if bool(np.any(grp_uniform & (grp_lengths > MAX_FILL_GROUPS))):
-        return _split_oversized_fills(
-            grp_lengths, grp_payloads, grp_uniform
-        )
+    nwords = np.where(
+        grp_uniform, -(-grp_lengths // MAX_FILL_GROUPS), 1
+    )
+    if bool(np.any(nwords > 1)):
+        # A fill longer than the 30-bit count field: every word but the
+        # last holds MAX_FILL_GROUPS groups, the last the remainder.
+        last = np.repeat(grp_lengths - (nwords - 1) * MAX_FILL_GROUPS,
+                         nwords)
+        is_last = np.zeros(last.size, dtype=bool)
+        is_last[np.cumsum(nwords) - 1] = True
+        grp_lengths = np.where(is_last, last, MAX_FILL_GROUPS)
+        grp_payloads = np.repeat(grp_payloads, nwords)
+        grp_uniform = np.repeat(grp_uniform, nwords)
     fill_words = (
         FILL_FLAG
         | np.where(grp_payloads == LITERAL_PAYLOAD_MASK,
@@ -225,28 +165,87 @@ def encode_runs(lengths, payloads) -> list[int]:
         | grp_lengths
     )
     out = np.where(grp_uniform, fill_words, grp_payloads)
-    return out.astype(np.uint32).tolist()
+    return out.astype(np.uint32)
 
 
-def _union_bounds(
-    ends_list: list[np.ndarray], total_groups: int
+def literals_to_words(
+    groups: np.ndarray, payloads: np.ndarray, total_groups: int
 ) -> np.ndarray:
-    """Sorted union of the streams' cumulative group boundaries.
+    """Encode literal payloads at sorted, distinct group ids, with
+    0-fills over every group in between and after them."""
+    n = groups.size
+    lengths = np.ones(2 * n + 1, dtype=np.int64)
+    lengths[0:-1:2] = np.diff(groups, prepend=-1) - 1
+    lengths[-1] = total_groups - (int(groups[-1]) + 1 if n else 0)
+    run_payloads = np.zeros(2 * n + 1, dtype=np.int64)
+    run_payloads[1::2] = payloads
+    return encode_runs(lengths, run_payloads)
 
-    Boundary values are bounded by the total group count, so when the
-    streams are not extremely sparse relative to the logical length a
-    boolean-mask scatter beats sort-based ``np.unique``; the sparse
-    case falls back to sorting so memory stays ``O(total runs)``.
+
+def check_words(words: np.ndarray, num_bits: int) -> None:
+    """Reject a word array that does not fit ``num_bits`` logical bits.
+
+    The words must cover exactly ``ceil(num_bits / 31)`` groups and
+    leave the padding bits of a partial final group clear; raises
+    :class:`~repro.errors.BitmapDecodeError` otherwise.
     """
-    if len(ends_list) == 1:
-        return ends_list[0]
+    words = np.asarray(words, dtype=np.uint32)
+    is_fill = words >= FILL_FLAG
+    covered = int(
+        np.where(is_fill, words & FILL_COUNT_MASK, 1).sum(dtype=np.int64)
+    )
+    expected = groups_for_bits(num_bits)
+    if covered != expected:
+        raise BitmapDecodeError(
+            f"words cover {covered} groups, but {num_bits} bits need "
+            f"{expected}"
+        )
+    tail_bits = num_bits % WORD_PAYLOAD_BITS
+    last = int(words[-1]) if tail_bits else 0
+    if last & FILL_FLAG:
+        last = LITERAL_PAYLOAD_MASK if last & FILL_VALUE_BIT else 0
+    if last >> tail_bits:
+        raise BitmapDecodeError(
+            f"padding bits beyond num_bits={num_bits} are set"
+        )
+
+
+def _merge_bounds(
+    runs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Segment boundaries shared by run arrays over the same groups.
+
+    Returns the sorted union of the streams' cumulative group
+    boundaries and each stream's own boundaries (for ``searchsorted``
+    lookups of its payload in every segment).  Boundary values are
+    bounded by the total group count, so unless the streams are very
+    sparse relative to the logical length a boolean-mask scatter beats
+    sorting; the sparse case sorts so memory stays ``O(total runs)``.
+    """
+    ends_list = [np.cumsum(lengths) for lengths, _ in runs]
+    totals = {int(ends[-1]) if ends.size else 0 for ends in ends_list}
+    if len(totals) > 1:
+        raise BitmapDecodeError(
+            "operand word streams cover different group counts"
+        )
+    total_groups = totals.pop()
+    if len(ends_list) == 1 or total_groups == 0:
+        return ends_list[0], ends_list
     num_runs = sum(ends.size for ends in ends_list)
     if total_groups <= 8 * num_runs:
         mask = np.zeros(total_groups + 1, dtype=bool)
         for ends in ends_list:
             mask[ends] = True
-        return np.flatnonzero(mask)
-    return np.unique(np.concatenate(ends_list))
+        return np.flatnonzero(mask), ends_list
+    bounds = np.sort(np.concatenate(ends_list))
+    return bounds[np.diff(bounds, prepend=-1) != 0], ends_list
+
+
+def _segment_payloads(
+    ends: np.ndarray, payloads: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """One stream's payload in every merged segment."""
+    return payloads[np.searchsorted(ends, bounds, side="left")]
 
 
 # ----------------------------------------------------------------------
@@ -260,11 +259,11 @@ _BINARY_OPS = {
 }
 
 
-def binary_words(words_a, words_b, op: str) -> list[int]:
-    """Merge two word streams group-aligned under a named bitwise op.
+def binary_words(words_a, words_b, op: str) -> np.ndarray:
+    """Merge two word arrays group-aligned under a named bitwise op.
 
     ``op`` is one of ``and`` / ``or`` / ``xor`` / ``andnot``.  Both
-    streams must cover the same number of 31-bit groups.
+    arrays must cover the same number of 31-bit groups.
     """
     try:
         op_func = _BINARY_OPS[op]
@@ -272,28 +271,17 @@ def binary_words(words_a, words_b, op: str) -> list[int]:
         raise ValueError(
             f"op must be one of {sorted(_BINARY_OPS)}, got {op!r}"
         ) from None
-    lengths_a, payloads_a = decode_words(words_a)
-    lengths_b, payloads_b = decode_words(words_b)
-    ends_a = np.cumsum(lengths_a)
-    ends_b = np.cumsum(lengths_b)
-    total_a = int(ends_a[-1]) if ends_a.size else 0
-    total_b = int(ends_b[-1]) if ends_b.size else 0
-    if total_a != total_b:
-        raise BitmapDecodeError(
-            "operand word streams cover different group counts"
-        )
-    if total_a == 0:
-        return []
-    bounds = _union_bounds([ends_a, ends_b], total_a)
-    left = payloads_a[np.searchsorted(ends_a, bounds, side="left")]
-    right = payloads_b[np.searchsorted(ends_b, bounds, side="left")]
-    out = op_func(left, right)
-    seg_lengths = np.diff(bounds, prepend=0)
-    return encode_runs(seg_lengths, out)
+    runs = [decode_words(words_a), decode_words(words_b)]
+    bounds, (ends_a, ends_b) = _merge_bounds(runs)
+    out = op_func(
+        _segment_payloads(ends_a, runs[0][1], bounds),
+        _segment_payloads(ends_b, runs[1][1], bounds),
+    )
+    return encode_runs(np.diff(bounds, prepend=0), out)
 
 
-def union_all_words(word_streams: Sequence) -> list[int]:
-    """OR together any number of word streams in one k-way bulk merge.
+def union_all_words(word_streams: Sequence) -> np.ndarray:
+    """OR together any number of word arrays in one k-way bulk merge.
 
     The merged segment boundaries are the union of every stream's run
     boundaries; each stream then contributes its payloads to all
@@ -301,40 +289,22 @@ def union_all_words(word_streams: Sequence) -> list[int]:
     accumulates across streams as whole-array ops.  A merged segment
     wider than one group is covered by fills in *every* stream, so the
     accumulated payload is uniform there and the final
-    :func:`encode_runs` yields the canonical word stream.
+    :func:`encode_runs` yields the canonical word array.
     """
     if not word_streams:
         raise ValueError("union_all_words requires at least one stream")
     runs = [decode_words(words) for words in word_streams]
-    ends = [np.cumsum(lengths) for lengths, _ in runs]
-    totals = {
-        int(stream_ends[-1]) if stream_ends.size else 0
-        for stream_ends in ends
-    }
-    if len(totals) > 1:
-        raise BitmapDecodeError(
-            "operand word streams cover different group counts"
+    bounds, ends_list = _merge_bounds(runs)
+    acc = np.zeros(bounds.size, dtype=np.int64)
+    for ends, (_lengths, payloads) in zip(ends_list, runs):
+        np.bitwise_or(
+            acc, _segment_payloads(ends, payloads, bounds), out=acc
         )
-    total_groups = totals.pop()
-    if total_groups == 0:
-        return []
-    bounds = _union_bounds(ends, total_groups)
-    acc: np.ndarray | None = None
-    for stream_ends, (_lengths, payloads) in zip(ends, runs):
-        values = payloads[
-            np.searchsorted(stream_ends, bounds, side="left")
-        ]
-        if acc is None:
-            acc = values
-        else:
-            np.bitwise_or(acc, values, out=acc)
-    assert acc is not None
-    seg_lengths = np.diff(bounds, prepend=0)
-    return encode_runs(seg_lengths, acc)
+    return encode_runs(np.diff(bounds, prepend=0), acc)
 
 
-def invert_words(words, num_bits: int) -> list[int]:
-    """Complement a word stream over ``num_bits`` logical bits.
+def invert_words(words, num_bits: int) -> np.ndarray:
+    """Complement a word array over ``num_bits`` logical bits.
 
     Flips every payload and re-clears the zero-padding of the final
     partial group, preserving the canonical-form invariant.
@@ -354,9 +324,83 @@ def invert_words(words, num_bits: int) -> list[int]:
     return encode_runs(lengths, payloads)
 
 
+def concat_words(words_a, bits_a: int, words_b, bits_b: int) -> np.ndarray:
+    """The word array of ``bits_b`` bits of ``words_b`` appended after
+    ``bits_a`` bits of ``words_a``.
+
+    When ``bits_a`` is a multiple of 31 the run arrays are simply
+    joined.  Otherwise ``a``'s final group holds only ``shift`` bits,
+    and output group ``t`` of the appended part takes the low bits of
+    ``b``'s group ``t`` moved up by ``shift`` plus the high bits of its
+    group ``t - 1`` moved down: a group-aligned merge of ``b`` with
+    itself delayed by one group, which keeps the cost proportional to
+    the runs of both operands.
+    """
+    lengths_a, payloads_a = decode_words(words_a)
+    lengths_b, payloads_b = decode_words(words_b)
+    shift = bits_a % WORD_PAYLOAD_BITS
+    if shift == 0:
+        return encode_runs(
+            np.concatenate((lengths_a, lengths_b)),
+            np.concatenate((payloads_a, payloads_b)),
+        )
+    # Pad the current groups with one trailing 0-group, and delay a
+    # copy by one leading 0-group, so both cover len(b) + 1 groups.
+    current = (np.append(lengths_b, 1), np.append(payloads_b, 0))
+    previous = (np.insert(lengths_b, 0, 1), np.insert(payloads_b, 0, 0))
+    bounds, (ends_cur, ends_prev) = _merge_bounds([current, previous])
+    out = (
+        (_segment_payloads(ends_cur, current[1], bounds) << shift)
+        & LITERAL_PAYLOAD_MASK
+    ) | (
+        _segment_payloads(ends_prev, previous[1], bounds)
+        >> (WORD_PAYLOAD_BITS - shift)
+    )
+    seg_lengths = np.diff(bounds, prepend=0)
+    # The first segment is one group wide (the delayed copy starts with
+    # a 1-group run): it is a's partial final group, shared with b.
+    out[0] |= payloads_a[-1]
+    lengths_a[-1] -= 1
+    if groups_for_bits(bits_a + bits_b) < (
+        groups_for_bits(bits_a) + seg_lengths.sum() - 1
+    ):
+        # The joined length ends before the extra group the trailing
+        # 0-group run added (the last segment, one group wide): drop it.
+        seg_lengths[-1] -= 1
+    return encode_runs(
+        np.concatenate((lengths_a, seg_lengths)),
+        np.concatenate((payloads_a, out)),
+    )
+
+
 # ----------------------------------------------------------------------
-# Aggregates
+# Readers
 # ----------------------------------------------------------------------
+def positions_words(words) -> np.ndarray:
+    """Sorted ``int64`` array of the set-bit positions of a word array.
+
+    Literals expand to their set bits and 1-fills to position ranges;
+    both are laid out in run order, so the result needs no sort.
+    """
+    lengths, payloads = decode_words(words)
+    starts = (np.cumsum(lengths) - lengths) * WORD_PAYLOAD_BITS
+    ones = payloads == LITERAL_PAYLOAD_MASK
+    literal = (payloads != 0) & ~ones
+    # Bit b of literal i is flat index 32 * i + b of the unpacked bits.
+    bits = np.unpackbits(
+        payloads[literal].astype("<u4").view(np.uint8), bitorder="little"
+    ).view(bool)
+    flat = np.flatnonzero(bits)
+    literal_positions = starts[literal][flat >> 5] + (flat & 31)
+    if not ones.any():
+        return literal_positions
+    counts = np.where(ones, lengths * WORD_PAYLOAD_BITS, 0)
+    counts[literal] = popcount32(payloads[literal])
+    positions = expand_ranges(starts, counts)
+    positions[np.repeat(literal, counts)] = literal_positions
+    return positions
+
+
 _POPCOUNT_SUPPORTED = hasattr(np, "bitwise_count")
 
 
@@ -379,7 +423,7 @@ def popcount32(arr: np.ndarray) -> np.ndarray:
 
 
 def count_words(words) -> int:
-    """Number of set bits in a word stream (bulk popcount)."""
+    """Number of set bits in a word array (bulk popcount)."""
     lengths, payloads = decode_words(words)
     if lengths.size == 0:
         return 0

@@ -189,7 +189,8 @@ class PlwahBitmap:
     def to_wah(self) -> WahBitmap:
         """The operational WAH form (lossless round trip)."""
         return WahBitmap(
-            plwah_decode(self._words), self._wah.num_bits
+            np.asarray(plwah_decode(self._words), dtype=np.uint32),
+            self._wah.num_bits,
         )
 
     def count(self) -> int:

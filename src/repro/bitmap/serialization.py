@@ -26,6 +26,7 @@ import zlib
 import numpy as np
 
 from ..errors import BitmapDecodeError, ChecksumError
+from .kernels import check_words
 from .wah import WahBitmap
 
 __all__ = [
@@ -127,11 +128,12 @@ def _unframe(
     (stored_crc,) = _TRAILER.unpack_from(
         payload, len(payload) - TRAILER_SIZE_BYTES
     )
-    actual_crc = zlib.crc32(payload[: len(payload) - TRAILER_SIZE_BYTES])
+    # A memoryview slices without copying the payload.
+    framed = memoryview(payload)[: len(payload) - TRAILER_SIZE_BYTES]
+    actual_crc = zlib.crc32(framed)
     if stored_crc != actual_crc:
         raise ChecksumError(stored_crc, actual_crc)
-    body = payload[HEADER_SIZE_BYTES : len(payload) - TRAILER_SIZE_BYTES]
-    return codec, int(num_bits), int(count), body
+    return codec, int(num_bits), int(count), framed[HEADER_SIZE_BYTES:]
 
 
 def verify_frame(payload: bytes) -> int:
@@ -158,17 +160,23 @@ def codec_name(codec: int) -> str:
 # ----------------------------------------------------------------------
 def serialize_wah(bitmap: WahBitmap) -> bytes:
     """Serialize a :class:`WahBitmap` to its on-disk byte representation."""
-    words = np.asarray(bitmap.words, dtype=np.uint32)
+    words = bitmap.word_array
     return _frame(
-        CODEC_WAH, bitmap.num_bits, words.size, words.tobytes()
+        CODEC_WAH, bitmap.num_bits, words.size,
+        words.astype("<u4", copy=False).tobytes(),
     )
 
 
 def deserialize_wah(payload: bytes) -> WahBitmap:
-    """Parse bytes produced by :func:`serialize_wah` back into a bitmap."""
+    """Parse bytes produced by :func:`serialize_wah` back into a bitmap.
+
+    The bitmap's words are a zero-copy view of ``payload``; they are
+    checked to cover exactly ``num_bits`` bits with zero padding.
+    """
     _codec, num_bits, num_words, body = _unframe(payload, CODEC_WAH)
     words = np.frombuffer(body, dtype="<u4", count=num_words)
-    return WahBitmap([int(word) for word in words], num_bits)
+    check_words(words, num_bits)
+    return WahBitmap(words, num_bits)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +196,8 @@ def deserialize_plwah(payload: bytes):
 
     _codec, num_bits, num_words, body = _unframe(payload, CODEC_PLWAH)
     words = np.frombuffer(body, dtype="<u4", count=num_words)
-    wah_words = plwah_decode(int(word) for word in words)
+    wah_words = np.asarray(plwah_decode(words.tolist()), dtype=np.uint32)
+    check_words(wah_words, num_bits)
     return PlwahBitmap(WahBitmap(wah_words, num_bits))
 
 

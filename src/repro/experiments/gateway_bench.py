@@ -400,7 +400,7 @@ async def _issue_wave(
         *(one(index) for index in range(len(queries)))
     )
     for index, result in enumerate(results):
-        if result.answer.words != oracle_answers[index].words:
+        if result.answer != oracle_answers[index]:
             raise RuntimeError(
                 f"request {index} diverged from the serial "
                 f"oracle at {clients} clients"

@@ -261,7 +261,7 @@ def _verify(
     if oracle is None:
         return
     for ours, theirs in zip(report.outcomes, oracle.outcomes):
-        if ours.result.answer.words != theirs.result.answer.words:
+        if ours.result.answer != theirs.result.answer:
             raise RuntimeError(
                 f"query {ours.index} answer diverged from the serial "
                 f"oracle at {workers} workers"
@@ -279,7 +279,7 @@ def _verify_sharded(
             f"process boundaries at {label}"
         )
     for ours, theirs in zip(report.outcomes, oracle.outcomes):
-        if ours.result.answer.words != theirs.result.answer.words:
+        if ours.result.answer != theirs.result.answer:
             raise RuntimeError(
                 f"query {ours.index} merged answer diverged from the "
                 f"serial oracle at {label}"

@@ -89,6 +89,7 @@ from .lifecycle import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..bitmap.wah import WahBitmap
     from ..core.executor import ExecutionResult
     from .batch import BatchExecutor
     from .sharded import ShardedExecutor
@@ -742,9 +743,7 @@ class Gateway:
         self._batch_records: list[GatewayBatchRecord] = []
         self._hedge_records: list[GatewayHedgeRecord] = []
         self._batch_counter = 0
-        self._canary_ref: (
-            tuple[RangeQuery, tuple[int, ...]] | None
-        ) = None
+        self._canary_ref: tuple[RangeQuery, WahBitmap] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -1528,8 +1527,7 @@ class Gateway:
                     and self._canary_ref is None
                 ):
                     self._canary_ref = (
-                        query,
-                        tuple(batch_outcome.result.answer.words),
+                        query, batch_outcome.result.answer
                     )
             if (
                 slot.state is ReplicaState.ACTIVE
@@ -1715,8 +1713,8 @@ class Gateway:
 
     def _canary_expectation(
         self,
-    ) -> tuple[RangeQuery, tuple[int, ...] | None] | None:
-        """The canary query and (when known) its expected answer words.
+    ) -> tuple[RangeQuery, WahBitmap | None] | None:
+        """The canary query and (when known) its expected answer.
         ``None`` when no canary is available yet."""
         with self._lock:
             configured = self._config.canary_query
@@ -1758,13 +1756,12 @@ class Gateway:
             canary = self._canary_expectation()
             if canary is None:
                 return True
-            query, expected_words = canary
+            query, expected = canary
             report = replica.serve_batch((query,))
             outcome = report.outcomes[0]
             if outcome.error is not None or outcome.result is None:
                 return False
-            words = tuple(outcome.result.answer.words)
-            if expected_words is None:
+            if expected is None:
                 peer = self._active_peer(exclude=replica.replica_id)
                 if peer is None:
                     return True
@@ -1776,10 +1773,8 @@ class Gateway:
                 ):
                     # The peer's trouble is not the candidate's fault.
                     return True
-                expected_words = tuple(
-                    peer_outcome.result.answer.words
-                )
-            return words == tuple(expected_words)
+                expected = peer_outcome.result.answer
+            return outcome.result.answer == expected
         except Exception:
             return False
 

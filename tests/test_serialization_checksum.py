@@ -3,6 +3,7 @@ of truncated and single-bit-flipped payloads."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bitmap.plain import PlainBitmap
@@ -135,3 +136,56 @@ class TestCorruptionRejection:
         payload[-5] ^= 0x10  # inside body, away from header/CRC trailer
         with pytest.raises(ChecksumError):
             deserialize(bytes(payload))
+
+
+ONE_FILL = 0xC0000000  # fill flag + fill value 1; OR in the group count
+
+
+class TestWahFrameFitsLength:
+    """Frames that pass the CRC but whose words do not fit ``num_bits``
+    are rejected as :class:`BitmapDecodeError`, the executor's
+    retry/degrade cue, instead of decoding into out-of-range bits."""
+
+    @pytest.mark.parametrize(
+        "num_bits, words",
+        [
+            (62, [ONE_FILL | 3]),  # covers 3 groups, 62 bits need 2
+            (62, [ONE_FILL | 1]),  # covers 1 group only
+            (40, [ONE_FILL | 1, 0x7FFFFFFE]),  # literal sets padding
+            (40, [ONE_FILL | 2]),  # fill sets the padding bits
+            (0, [0x80000000 | 1]),  # zero-length bitmap with a group
+        ],
+        ids=["too-many-groups", "too-few-groups", "literal-padding",
+             "fill-padding", "empty-with-words"],
+    )
+    def test_ill_fitting_words_rejected(self, num_bits, words):
+        payload = serialize_wah(WahBitmap(words, num_bits))
+        assert verify_frame(payload) == CODEC_WAH  # the CRC holds
+        with pytest.raises(BitmapDecodeError):
+            deserialize_wah(payload)
+
+    def test_ill_fitting_plwah_words_rejected(self):
+        payload = serialize_plwah(
+            PlwahBitmap(WahBitmap([ONE_FILL | 3], 62))
+        )
+        with pytest.raises(BitmapDecodeError):
+            deserialize_plwah(payload)
+
+    @pytest.mark.parametrize("num_bits", [0, 1, 30, 31, 32, 62, 10_000])
+    def test_well_fitting_words_accepted(self, num_bits):
+        for bitmap in (WahBitmap.ones(num_bits), WahBitmap.zeros(num_bits)):
+            assert deserialize_wah(serialize_wah(bitmap)) == bitmap
+
+
+class TestWahZeroCopyDecode:
+    def test_decoded_words_share_the_payload_buffer(self):
+        payload = serialize_wah(WahBitmap.from_positions(POSITIONS, NUM_BITS))
+        bitmap = deserialize_wah(payload)
+        assert np.shares_memory(
+            bitmap.word_array, np.frombuffer(payload, dtype=np.uint8)
+        )
+        assert not bitmap.word_array.flags.writeable
+
+    def test_serialized_bytes_unchanged_by_round_trip(self):
+        payload = serialize_wah(WahBitmap.from_positions(POSITIONS, NUM_BITS))
+        assert serialize_wah(deserialize_wah(payload)) == payload

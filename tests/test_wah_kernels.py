@@ -1,15 +1,18 @@
 """Property tests: vectorized WAH kernels vs. the scalar reference.
 
-The scalar per-word implementation in :mod:`repro.bitmap.wah` is the
-oracle; the numpy kernels in :mod:`repro.bitmap.kernels` must produce
-**bit-identical canonical word streams** for every operation, across
-random densities, lengths (including non-multiples of 31), and run
-structures.  Word-level equality is stronger than logical equality: it
-pins the canonical encoding (fill merging, uniform-literal collapsing)
-the serialization format and the cost accounting depend on.
+The scalar per-word implementation in ``tests/wah_reference.py`` is the
+oracle; the numpy kernels behind :class:`~repro.bitmap.wah.WahBitmap`
+must produce **bit-identical canonical word streams** for every
+operation, across random densities, lengths (including non-multiples
+of 31), and run structures.  Word-level equality is stronger than
+logical equality: it pins the canonical encoding (fill merging,
+uniform-literal collapsing) the serialization format and the cost
+accounting depend on.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -17,14 +20,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import kernels
-from repro.bitmap.wah import (
-    LITERAL_PAYLOAD_MASK,
-    WahBitmap,
-    _WahEncoder,
-)
+from repro.bitmap.wah import LITERAL_PAYLOAD_MASK, WahBitmap
 from repro.errors import BitmapDecodeError, BitmapLengthMismatchError
+from tests import wah_reference as ref
 
 MAX_BITS = 700
+
+BINARY_OPS = {
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "andnot": lambda a, b: a.andnot(b),
+}
+
+
+@st.composite
+def run_list(draw, num_bits: int) -> list[tuple[int, int]]:
+    """Sorted, disjoint ``(start, stop)`` runs within ``num_bits``."""
+    edges = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=num_bits),
+            max_size=8,
+        )
+    )
+    edges = sorted(set(edges))
+    return list(zip(edges[::2], edges[1::2]))
 
 
 @st.composite
@@ -41,15 +61,7 @@ def wah_bitmap(draw, num_bits: int) -> WahBitmap:
         return WahBitmap.from_positions(positions, num_bits)
     if style == 1:
         # Long 1-runs exercise fill merging.
-        edges = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=num_bits),
-                max_size=8,
-            )
-        )
-        edges = sorted(set(edges))
-        runs = list(zip(edges[::2], edges[1::2]))
-        return WahBitmap.from_runs(runs, num_bits)
+        return WahBitmap.from_runs(draw(run_list(num_bits)), num_bits)
     density = draw(st.floats(min_value=0.0, max_value=1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return WahBitmap.from_dense(rng.random(num_bits) < density)
@@ -73,14 +85,66 @@ def bitmap_list(draw):
     ]
 
 
-def _scalar(fn):
-    with kernels.use_kernel_mode("scalar"):
-        return fn()
+class TestConstructors:
+    @given(st.integers(min_value=0, max_value=MAX_BITS), st.data())
+    @settings(max_examples=150)
+    def test_from_positions_bit_identical(self, num_bits, data):
+        positions = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=max(num_bits - 1, 0)),
+                max_size=num_bits,
+            )
+        ) if num_bits else []
+        bitmap = WahBitmap.from_positions(positions, num_bits)
+        assert bitmap.words == tuple(
+            ref.from_positions(positions, num_bits)
+        )
+
+    @given(st.integers(min_value=0, max_value=MAX_BITS), st.data())
+    @settings(max_examples=150)
+    def test_from_runs_bit_identical(self, num_bits, data):
+        runs = data.draw(run_list(num_bits))
+        bitmap = WahBitmap.from_runs(runs, num_bits)
+        assert bitmap.words == tuple(ref.from_runs(runs, num_bits))
+
+    @given(st.integers(min_value=0, max_value=MAX_BITS))
+    def test_zeros_and_ones_bit_identical(self, num_bits):
+        assert WahBitmap.zeros(num_bits).words == tuple(
+            ref.from_positions([], num_bits)
+        )
+        assert WahBitmap.ones(num_bits).words == tuple(
+            ref.ones(num_bits)
+        )
 
 
-def _kernel(fn):
-    with kernels.use_kernel_mode("numpy"):
-        return fn()
+class TestReaders:
+    @given(st.integers(min_value=1, max_value=MAX_BITS), st.data())
+    @settings(max_examples=150)
+    def test_to_positions_count_and_get_match_reference(
+        self, num_bits, data
+    ):
+        bitmap = data.draw(wah_bitmap(num_bits))
+        words = bitmap.words
+        positions = bitmap.to_positions()
+        assert positions.dtype == np.int64
+        assert positions.tolist() == ref.to_positions(words)
+        assert bitmap.count() == ref.count(words)
+        probes = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=num_bits - 1),
+                max_size=20,
+            )
+        )
+        for position in probes:
+            assert bitmap.get(position) == ref.get(words, position)
+
+    def test_iter_runs_decodes_each_word(self):
+        bitmap = WahBitmap.from_runs([(0, 93), (100, 103)], 200)
+        runs = list(bitmap.iter_runs())
+        assert runs[0] == (True, 1, 3, 0)
+        assert [run[2] for run in runs] == [
+            ngroups for _payload, ngroups in ref.iter_groups(bitmap.words)
+        ]
 
 
 class TestBinaryOps:
@@ -88,13 +152,10 @@ class TestBinaryOps:
     @settings(max_examples=150)
     def test_binary_ops_bit_identical(self, pair):
         a, b = pair
-        for op in (
-            lambda: a & b,
-            lambda: a | b,
-            lambda: a ^ b,
-            lambda: a.andnot(b),
-        ):
-            assert _kernel(op).words == _scalar(op).words
+        for name, op in BINARY_OPS.items():
+            assert op(a, b).words == tuple(
+                ref.binary(a.words, b.words, name)
+            )
 
     @given(bitmap_pair())
     @settings(max_examples=80)
@@ -102,8 +163,8 @@ class TestBinaryOps:
         """Kernel outputs survive a WAH round-trip unchanged (no
         adjacent same-value fills, no uniform literals)."""
         a, b = pair
-        result = _kernel(lambda: a | b)
-        encoder = _WahEncoder()
+        result = a | b
+        encoder = ref.Encoder()
         for is_fill, value, ngroups, literal in result.iter_runs():
             if is_fill:
                 encoder.append_fill(value, ngroups)
@@ -115,7 +176,7 @@ class TestBinaryOps:
         a = WahBitmap.zeros(62)
         b = WahBitmap.zeros(31)
         with pytest.raises(BitmapLengthMismatchError):
-            _kernel(lambda: a | b)
+            a | b
 
 
 class TestInvertAndCount:
@@ -126,11 +187,41 @@ class TestInvertAndCount:
             bitmap = WahBitmap.zeros(0)
         else:
             bitmap = data.draw(wah_bitmap(num_bits))
-        assert (
-            _kernel(lambda: ~bitmap).words
-            == _scalar(lambda: ~bitmap).words
+        assert (~bitmap).words == tuple(
+            ref.invert(bitmap.words, num_bits)
         )
-        assert _kernel(bitmap.count) == _scalar(bitmap.count)
+        assert bitmap.count() == ref.count(bitmap.words)
+
+
+class TestConcat:
+    @given(
+        st.integers(min_value=0, max_value=MAX_BITS),
+        st.integers(min_value=0, max_value=MAX_BITS),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_concat_bit_identical(self, bits_a, bits_b, aligned, data):
+        if aligned:
+            bits_a -= bits_a % 31
+        a = data.draw(wah_bitmap(bits_a)) if bits_a else WahBitmap.zeros(0)
+        b = data.draw(wah_bitmap(bits_b)) if bits_b else WahBitmap.zeros(0)
+        joined = a.concat(b)
+        assert joined.num_bits == bits_a + bits_b
+        assert joined.words == tuple(
+            ref.concat(a.words, bits_a, b.words, bits_b)
+        )
+
+    @pytest.mark.parametrize("bits_a", [31 * 40, 31 * 40 + 7, 31 * 40 + 30])
+    @pytest.mark.parametrize("bits_b", [0, 1, 24, 31 * 9, 31 * 9 + 25])
+    def test_concat_fills_across_the_seam(self, bits_a, bits_b):
+        """All-one and all-zero operands: the shifted fills must merge
+        with the seam group exactly as the reference encoder does."""
+        for a in (WahBitmap.ones(bits_a), WahBitmap.zeros(bits_a)):
+            for b in (WahBitmap.ones(bits_b), WahBitmap.zeros(bits_b)):
+                assert a.concat(b).words == tuple(
+                    ref.concat(a.words, bits_a, b.words, bits_b)
+                )
 
 
 class TestUnionAll:
@@ -138,21 +229,19 @@ class TestUnionAll:
     @settings(max_examples=100)
     def test_union_all_bit_identical(self, data):
         num_bits, bitmaps = data
-        union = lambda: WahBitmap.union_all(
-            bitmaps, num_bits=num_bits
+        union = WahBitmap.union_all(bitmaps, num_bits=num_bits)
+        assert union.words == tuple(
+            ref.union_all(bitmap.words for bitmap in bitmaps)
         )
-        assert _kernel(union).words == _scalar(union).words
 
     def test_union_all_empty_input(self):
-        result = _kernel(
-            lambda: WahBitmap.union_all([], num_bits=100)
-        )
+        result = WahBitmap.union_all([], num_bits=100)
         assert result == WahBitmap.zeros(100)
 
     def test_union_all_length_mismatch_raises(self):
         bitmaps = [WahBitmap.zeros(31), WahBitmap.zeros(62)]
         with pytest.raises(BitmapLengthMismatchError):
-            _kernel(lambda: WahBitmap.union_all(bitmaps))
+            WahBitmap.union_all(bitmaps)
 
 
 class TestLargerDeterministicCases:
@@ -165,21 +254,22 @@ class TestLargerDeterministicCases:
     )
     def test_dense_sweep_bit_identical(self, density):
         rng = np.random.default_rng(int(density * 1e6))
-        a = WahBitmap.from_dense(
-            rng.random(self.NUM_BITS) < density
+        dense_a = rng.random(self.NUM_BITS) < density
+        a = WahBitmap.from_dense(dense_a)
+        b = WahBitmap.from_dense(rng.random(self.NUM_BITS) < density)
+        assert a.words == tuple(
+            ref.from_positions(np.flatnonzero(dense_a), self.NUM_BITS)
         )
-        b = WahBitmap.from_dense(
-            rng.random(self.NUM_BITS) < density
+        for name, op in BINARY_OPS.items():
+            assert op(a, b).words == tuple(
+                ref.binary(a.words, b.words, name)
+            )
+        assert (~a).words == tuple(ref.invert(a.words, self.NUM_BITS))
+        assert a.count() == ref.count(a.words)
+        assert a.to_positions().tolist() == ref.to_positions(a.words)
+        assert a.concat(b).words == tuple(
+            ref.concat(a.words, self.NUM_BITS, b.words, self.NUM_BITS)
         )
-        for op in (
-            lambda: a & b,
-            lambda: a | b,
-            lambda: a ^ b,
-            lambda: a.andnot(b),
-            lambda: ~a,
-        ):
-            assert _kernel(op).words == _scalar(op).words
-        assert _kernel(a.count) == _scalar(a.count)
 
     def test_many_way_union_bit_identical(self):
         rng = np.random.default_rng(42)
@@ -190,8 +280,31 @@ class TestLargerDeterministicCases:
             )
             for _ in range(24)
         ]
-        union = lambda: WahBitmap.union_all(bitmaps)
-        assert _kernel(union).words == _scalar(union).words
+        assert WahBitmap.union_all(bitmaps).words == tuple(
+            ref.union_all(bitmap.words for bitmap in bitmaps)
+        )
+
+
+class TestWordArray:
+    def test_words_are_one_read_only_uint32_array(self):
+        bitmap = WahBitmap.from_positions([1, 40, 99], 100)
+        array = bitmap.word_array
+        assert array.dtype == np.uint32
+        assert not array.flags.writeable
+        assert bitmap.words == tuple(array.tolist())
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+    def test_pickled_bitmap_stays_read_only(self):
+        bitmap = WahBitmap.from_positions([1, 40, 99], 100)
+        restored = pickle.loads(pickle.dumps(bitmap))
+        assert restored == bitmap
+        assert not restored.word_array.flags.writeable
+
+    def test_caller_array_is_not_frozen(self):
+        words = np.asarray(WahBitmap.ones(62).words, dtype=np.uint32)
+        WahBitmap(words, 62)
+        assert words.flags.writeable
 
 
 class TestKernelPrimitives:
@@ -200,42 +313,43 @@ class TestKernelPrimitives:
         bitmap = WahBitmap.from_positions(
             rng.choice(10_000, size=700, replace=False), 10_000
         )
-        lengths, payloads = kernels.decode_words(bitmap.words)
-        assert kernels.encode_runs(lengths, payloads) == list(
-            bitmap.words
-        )
+        lengths, payloads = kernels.decode_words(bitmap.word_array)
+        words = kernels.encode_runs(lengths, payloads)
+        assert words.dtype == np.uint32
+        assert tuple(words.tolist()) == bitmap.words
 
     def test_encode_splits_oversized_fills_like_scalar(self):
         huge = 3 * kernels.MAX_FILL_GROUPS + 5
-        words = kernels.encode_runs([huge, 1], [0, 0b1010])
-        encoder = _WahEncoder()
+        words = kernels.encode_runs([huge, 1, huge], [0, 0b1010, 0])
+        encoder = ref.Encoder()
         encoder.append_fill(0, huge)
         encoder.append_literal(0b1010)
-        assert words == encoder.words
+        encoder.append_fill(0, huge)
+        assert words.tolist() == encoder.words
 
     def test_encode_collapses_uniform_literals(self):
         words = kernels.encode_runs(
             [1, 1, 1], [0, 0, LITERAL_PAYLOAD_MASK]
         )
-        encoder = _WahEncoder()
+        encoder = ref.Encoder()
         encoder.append_literal(0)
         encoder.append_literal(0)
         encoder.append_literal(LITERAL_PAYLOAD_MASK)
-        assert words == encoder.words
+        assert words.tolist() == encoder.words
 
     def test_encode_expands_non_uniform_multi_group_runs(self):
         # Hand-built input violating the literal-length-1 invariant.
         words = kernels.encode_runs([3], [0b101])
-        assert words == [0b101, 0b101, 0b101]
+        assert words.tolist() == [0b101, 0b101, 0b101]
 
     def test_binary_words_rejects_group_count_mismatch(self):
-        a = WahBitmap.zeros(62).words
-        b = WahBitmap.zeros(31).words
+        a = WahBitmap.zeros(62).word_array
+        b = WahBitmap.zeros(31).word_array
         with pytest.raises(BitmapDecodeError):
             kernels.binary_words(a, b, "or")
 
     def test_binary_words_rejects_unknown_op(self):
-        words = WahBitmap.zeros(31).words
+        words = WahBitmap.zeros(31).word_array
         with pytest.raises(ValueError):
             kernels.binary_words(words, words, "nand")
 
@@ -246,16 +360,3 @@ class TestKernelPrimitives:
         ).astype(np.int64)
         expected = [int(v).bit_count() for v in values]
         assert kernels.popcount32(values).tolist() == expected
-
-    def test_mode_flag_roundtrip(self):
-        assert kernels.kernel_mode() in kernels.KERNEL_MODES
-        previous = kernels.set_kernel_mode("scalar")
-        try:
-            assert not kernels.kernels_enabled()
-            with kernels.use_kernel_mode("numpy"):
-                assert kernels.kernels_enabled()
-            assert kernels.kernel_mode() == "scalar"
-        finally:
-            kernels.set_kernel_mode(previous)
-        with pytest.raises(ValueError):
-            kernels.set_kernel_mode("cuda")
