@@ -4,8 +4,8 @@ PY := PYTHONPATH=src python
 
 .PHONY: test test-chaos test-crash test-stress test-shard \
 	test-ingest test-gateway test-resilience bench-wah-smoke \
-	bench-wah bench-serve-smoke bench-serve bench-gateway-smoke \
-	bench-gateway bench docs
+	bench-wah bench-e2e-smoke bench-serve-smoke bench-serve \
+	bench-gateway-smoke bench-gateway bench docs
 
 # Tier-1 verification (what CI must keep green).
 test:
@@ -54,15 +54,23 @@ test-resilience:
 	$(PY) -m pytest -m resilience -q
 
 # Tier-1-adjacent smoke: execute the WAH kernel micro-benchmark with
-# small operands and no timing assertions, emitting BENCH_wah.json so
-# every run leaves a performance record.
+# small operands and no timing assertions, appending an entry to
+# BENCH_wah.json's history so every run leaves a performance record.
 bench-wah-smoke:
 	WAH_BENCH_MODE=check $(PY) -m pytest benchmarks/test_micro_wah_kernels.py -q
 
 # Full-scale WAH kernel micro-benchmark (asserts the >= 5x union_all
-# speedup over the scalar reference and records it in BENCH_wah.json).
+# speedup over the scalar reference and that the sorted merge beats
+# the dense path on near-empty operands; appends to BENCH_wah.json).
 bench-wah:
 	WAH_BENCH_MODE=full $(PY) -m pytest benchmarks/test_micro_wah_kernels.py -q
+
+# Timing-free smoke runs of the end-to-end benchmark's three workloads
+# (case2-wide, ingest-mixed, gateway-sharded-open) at small size, plus
+# its own checks: a wrong answer, unreconciled IO or a missed tracing
+# binding must fail the run.
+bench-e2e-smoke:
+	$(PY) -m pytest perfbench/tests -q
 
 # Tier-1-adjacent smoke: execute the serving benchmark with a small
 # batch and no timing assertions, emitting BENCH_serve.json.

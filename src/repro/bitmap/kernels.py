@@ -1,32 +1,32 @@
-"""WAH kernels: bulk run-array operations over ``uint32`` word arrays.
+"""WAH kernels: bulk numpy operations over ``uint32`` word arrays.
 
-Every :class:`~repro.bitmap.wah.WahBitmap` operation is implemented
-here as whole-array numpy work, so its cost follows the number of
-compressed words (or, for ``to_positions``, of the positions it
-returns) rather than a Python loop per word or per bit:
+Every :class:`~repro.bitmap.wah.WahBitmap` operation is whole-array
+numpy work, never a Python loop per word or bit.  The combiners and
+``positions_words`` take one of two regimes, picked by one gate:
+operands covering at most :data:`DENSE_GROUPS_PER_WORD` 31-bit groups
+per word they hold (summed over the operands) are *word-dense*.
 
-1. **decode** a word array into two parallel ``int64`` arrays —
-   ``lengths`` (groups covered by each run) and ``payloads`` (the 31-bit
-   payload replicated across the run: ``0`` / ``0x7FFFFFFF`` for fills,
-   the literal word otherwise);
-2. **merge** two (or ``k``) run arrays group-aligned by intersecting
-   their cumulative group boundaries with ``searchsorted`` and applying
-   the bitwise op to whole payload arrays at once;
-3. **re-encode** canonically — uniform segments collapse into fill
-   words, adjacent same-value fills merge, and oversized fills split at
-   the 2^30-1 group limit.
+* **Dense** - expand each word array into one ``uint32`` payload per
+  group, apply the op to whole group arrays and re-encode with
+  :func:`_encode_groups`; positions unpack the group array, where
+  bit ``b`` of group ``g`` is unpacked index ``32g + b`` and row
+  ``31g + b``.  Cost follows the group count.
+* **Sparse** - decode each word array into ``(lengths, payloads)`` run
+  arrays, merge the streams' sorted cumulative group boundaries, look
+  up each stream's payload per merged segment with ``searchsorted``
+  and re-encode with :func:`encode_runs`.  Cost follows the run count.
+  A run with a non-uniform payload is one group wide (it came from a
+  literal), so a merged segment wider than one group is fill-covered
+  on every input and has a uniform result payload.
 
-The invariant the merge step relies on: a decoded run with a
-non-uniform payload always covers exactly one group (it came from a
-literal word), so any merged segment wider than one group is covered by
-fills on every input and therefore has a uniform result payload.
-
-The per-word scalar encoder these kernels must agree with, word for
-word, lives with the tests (``tests/wah_reference.py``) as the oracle.
+Both emit the canonical encoding (uniform groups become fills,
+adjacent same-value fills merge, fills split at 2^30-1 groups), word
+for word the scalar oracle's in ``tests/wah_reference.py``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "FILL_VALUE_BIT",
     "FILL_COUNT_MASK",
     "MAX_FILL_GROUPS",
+    "DENSE_GROUPS_PER_WORD",
     "decode_words",
     "encode_runs",
     "literals_to_words",
@@ -48,6 +49,7 @@ __all__ = [
     "groups_for_bits",
     "binary_words",
     "union_all_words",
+    "ones_words",
     "invert_words",
     "concat_words",
     "positions_words",
@@ -61,6 +63,9 @@ FILL_FLAG = 1 << 31
 FILL_VALUE_BIT = 1 << 30
 FILL_COUNT_MASK = (1 << 30) - 1
 MAX_FILL_GROUPS = FILL_COUNT_MASK
+#: The one regime gate: operands covering at most this many groups per
+#: word they hold (summed over the operands) take the dense path.
+DENSE_GROUPS_PER_WORD = 8
 
 
 def groups_for_bits(num_bits: int) -> int:
@@ -88,20 +93,13 @@ def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
     one).  Zero-length fills (non-canonical) are dropped.
     """
     w = np.asarray(words, dtype=np.int64)
-    if w.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    is_fill = (w & FILL_FLAG) != 0
+    is_fill = w >= FILL_FLAG
     lengths = np.where(is_fill, w & FILL_COUNT_MASK, 1)
-    fill_payload = np.where(
-        (w & FILL_VALUE_BIT) != 0, LITERAL_PAYLOAD_MASK, 0
-    )
-    payloads = np.where(is_fill, fill_payload, w & LITERAL_PAYLOAD_MASK)
-    if lengths.min() <= 0:
-        keep = lengths > 0
-        lengths = lengths[keep]
-        payloads = payloads[keep]
-    return lengths, payloads
+    payloads = np.where(is_fill, (w >> 30 & 1) * LITERAL_PAYLOAD_MASK, w)
+    keep = lengths > 0
+    if keep.all():
+        return lengths, payloads
+    return lengths[keep], payloads[keep]
 
 
 def encode_runs(lengths, payloads) -> np.ndarray:
@@ -190,10 +188,7 @@ def check_words(words: np.ndarray, num_bits: int) -> None:
     :class:`~repro.errors.BitmapDecodeError` otherwise.
     """
     words = np.asarray(words, dtype=np.uint32)
-    is_fill = words >= FILL_FLAG
-    covered = int(
-        np.where(is_fill, words & FILL_COUNT_MASK, 1).sum(dtype=np.int64)
-    )
+    covered = _num_groups(words)
     expected = groups_for_bits(num_bits)
     if covered != expected:
         raise BitmapDecodeError(
@@ -210,6 +205,70 @@ def check_words(words: np.ndarray, num_bits: int) -> None:
         )
 
 
+# ----------------------------------------------------------------------
+# Dense regime: one uint32 payload per 31-bit group
+# ----------------------------------------------------------------------
+def _num_groups(words: np.ndarray) -> int:
+    """Total groups a word array covers (fill counts plus literals)."""
+    return int(np.where(
+        words >= FILL_FLAG, words & FILL_COUNT_MASK, 1
+    ).sum(dtype=np.int64))
+
+
+def _is_dense(total_groups: int, word_streams: Sequence) -> bool:
+    """Whether operands spanning ``total_groups`` groups are word-dense
+    (see the module docstring)."""
+    num_words = sum(words.size for words in word_streams)
+    return total_groups <= DENSE_GROUPS_PER_WORD * num_words
+
+
+def _expand_groups(words: np.ndarray) -> np.ndarray:
+    """A fresh ``uint32`` array of the payload of every group."""
+    # Fills are the minority of a word-dense array: patch them in.
+    fills = np.flatnonzero(words >= FILL_FLAG)
+    if fills.size == 0:
+        return words.copy()
+    fill_words = words[fills]
+    payloads = words.copy()
+    payloads[fills] = ((fill_words >> 30) & 1) * np.uint32(
+        LITERAL_PAYLOAD_MASK
+    )
+    lengths = np.ones(words.size, dtype=np.intp)
+    lengths[fills] = fill_words & FILL_COUNT_MASK
+    return np.repeat(payloads, lengths)
+
+
+def _encode_groups(groups: np.ndarray) -> np.ndarray:
+    """Canonically encode a per-group ``uint32`` payload array.
+
+    Each uniform stretch of equal payloads becomes one fill word and
+    every other group one literal word, as :func:`encode_runs` would
+    encode the same groups given as unit runs.
+    """
+    n = groups.size
+    if n == 0:
+        return np.empty(0, dtype=np.uint32)
+    uniform = (groups == 0) | (groups == LITERAL_PAYLOAD_MASK)
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(groups[1:], groups[:-1], out=start[1:])
+    start[1:] |= ~uniform[1:]
+    idx = np.flatnonzero(start)
+    lengths = np.diff(idx, append=n)
+    if n > MAX_FILL_GROUPS:
+        return encode_runs(lengths, groups[idx])
+    payloads = groups[idx]
+    fill_words = (
+        np.uint32(FILL_FLAG)
+        | (payloads & np.uint32(FILL_VALUE_BIT))
+        | lengths.astype(np.uint32)
+    )
+    return np.where(uniform[idx], fill_words, payloads)
+
+
+# ----------------------------------------------------------------------
+# Sparse regime: sorted merge of run boundaries
+# ----------------------------------------------------------------------
 def _merge_bounds(
     runs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -217,10 +276,7 @@ def _merge_bounds(
 
     Returns the sorted union of the streams' cumulative group
     boundaries and each stream's own boundaries (for ``searchsorted``
-    lookups of its payload in every segment).  Boundary values are
-    bounded by the total group count, so unless the streams are very
-    sparse relative to the logical length a boolean-mask scatter beats
-    sorting; the sparse case sorts so memory stays ``O(total runs)``.
+    lookups of its payload in every segment).
     """
     ends_list = [np.cumsum(lengths) for lengths, _ in runs]
     totals = {int(ends[-1]) if ends.size else 0 for ends in ends_list}
@@ -228,15 +284,6 @@ def _merge_bounds(
         raise BitmapDecodeError(
             "operand word streams cover different group counts"
         )
-    total_groups = totals.pop()
-    if len(ends_list) == 1 or total_groups == 0:
-        return ends_list[0], ends_list
-    num_runs = sum(ends.size for ends in ends_list)
-    if total_groups <= 8 * num_runs:
-        mask = np.zeros(total_groups + 1, dtype=bool)
-        for ends in ends_list:
-            mask[ends] = True
-        return np.flatnonzero(mask), ends_list
     bounds = np.sort(np.concatenate(ends_list))
     return bounds[np.diff(bounds, prepend=-1) != 0], ends_list
 
@@ -251,12 +298,38 @@ def _segment_payloads(
 # ----------------------------------------------------------------------
 # Bulk logical operations
 # ----------------------------------------------------------------------
+# Each op may overwrite its first operand, always a fresh array here.
 _BINARY_OPS = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "andnot": lambda a, b: a & ~b & LITERAL_PAYLOAD_MASK,
+    "and": lambda a, b: np.bitwise_and(a, b, out=a),
+    "or": lambda a, b: np.bitwise_or(a, b, out=a),
+    "xor": lambda a, b: np.bitwise_xor(a, b, out=a),
+    "andnot": lambda a, b: np.bitwise_and(a, ~b, out=a),
 }
+
+
+def _fold(word_streams: Sequence, op_func) -> np.ndarray:
+    """Fold a bitwise op over group-aligned word arrays, in order.
+
+    Dense operands fold their group arrays.  Sparse ones merge: the
+    segment boundaries are the union of every stream's run boundaries,
+    and each stream contributes its payload in every segment with one
+    ``searchsorted`` + fancy-index.
+    """
+    streams = [np.asarray(words, dtype=np.uint32) for words in word_streams]
+    if _is_dense(_num_groups(streams[0]), streams):
+        expanded = [_expand_groups(words) for words in streams]
+        if len({groups.size for groups in expanded}) > 1:
+            raise BitmapDecodeError(
+                "operand word streams cover different group counts"
+            )
+        return _encode_groups(functools.reduce(op_func, expanded))
+    runs = [decode_words(words) for words in streams]
+    bounds, ends_list = _merge_bounds(runs)
+    out = functools.reduce(op_func, (
+        _segment_payloads(ends, payloads, bounds)
+        for ends, (_lengths, payloads) in zip(ends_list, runs)
+    ))
+    return encode_runs(np.diff(bounds, prepend=0), out)
 
 
 def binary_words(words_a, words_b, op: str) -> np.ndarray:
@@ -271,74 +344,65 @@ def binary_words(words_a, words_b, op: str) -> np.ndarray:
         raise ValueError(
             f"op must be one of {sorted(_BINARY_OPS)}, got {op!r}"
         ) from None
-    runs = [decode_words(words_a), decode_words(words_b)]
-    bounds, (ends_a, ends_b) = _merge_bounds(runs)
-    out = op_func(
-        _segment_payloads(ends_a, runs[0][1], bounds),
-        _segment_payloads(ends_b, runs[1][1], bounds),
-    )
-    return encode_runs(np.diff(bounds, prepend=0), out)
+    return _fold([words_a, words_b], op_func)
 
 
 def union_all_words(word_streams: Sequence) -> np.ndarray:
-    """OR together any number of word arrays in one k-way bulk merge.
-
-    The merged segment boundaries are the union of every stream's run
-    boundaries; each stream then contributes its payloads to all
-    segments with a single ``searchsorted`` + fancy-index, and the OR
-    accumulates across streams as whole-array ops.  A merged segment
-    wider than one group is covered by fills in *every* stream, so the
-    accumulated payload is uniform there and the final
-    :func:`encode_runs` yields the canonical word array.
-    """
+    """OR together any number of word arrays in one k-way bulk pass."""
     if not word_streams:
         raise ValueError("union_all_words requires at least one stream")
-    runs = [decode_words(words) for words in word_streams]
-    bounds, ends_list = _merge_bounds(runs)
-    acc = np.zeros(bounds.size, dtype=np.int64)
-    for ends, (_lengths, payloads) in zip(ends_list, runs):
-        np.bitwise_or(
-            acc, _segment_payloads(ends, payloads, bounds), out=acc
-        )
-    return encode_runs(np.diff(bounds, prepend=0), acc)
+    return _fold(word_streams, _BINARY_OPS["or"])
+
+
+def ones_words(num_bits: int) -> np.ndarray:
+    """The word array of ``num_bits`` set bits (zero padding kept)."""
+    full_groups, tail_bits = divmod(num_bits, WORD_PAYLOAD_BITS)
+    return encode_runs(
+        [full_groups, 1 if tail_bits else 0],
+        [LITERAL_PAYLOAD_MASK, (1 << tail_bits) - 1],
+    )
 
 
 def invert_words(words, num_bits: int) -> np.ndarray:
-    """Complement a word array over ``num_bits`` logical bits.
-
-    Flips every payload and re-clears the zero-padding of the final
-    partial group, preserving the canonical-form invariant.
-    """
-    lengths, payloads = decode_words(words)
-    payloads = ~payloads & LITERAL_PAYLOAD_MASK
-    tail_bits = num_bits % WORD_PAYLOAD_BITS
-    if tail_bits and lengths.size:
-        tail_mask = (1 << tail_bits) - 1
-        if lengths[-1] == 1:
-            payloads[-1] &= tail_mask
-        else:
-            masked = int(payloads[-1]) & tail_mask
-            lengths = np.append(lengths, 1)
-            lengths[-2] -= 1
-            payloads = np.append(payloads, masked)
-    return encode_runs(lengths, payloads)
+    """Complement a word array over ``num_bits`` logical bits: an XOR
+    with all ones, which leaves the padding bits clear."""
+    return binary_words(words, ones_words(num_bits), "xor")
 
 
 def concat_words(words_a, bits_a: int, words_b, bits_b: int) -> np.ndarray:
     """The word array of ``bits_b`` bits of ``words_b`` appended after
     ``bits_a`` bits of ``words_a``.
 
-    When ``bits_a`` is a multiple of 31 the run arrays are simply
-    joined.  Otherwise ``a``'s final group holds only ``shift`` bits,
-    and output group ``t`` of the appended part takes the low bits of
-    ``b``'s group ``t`` moved up by ``shift`` plus the high bits of its
-    group ``t - 1`` moved down: a group-aligned merge of ``b`` with
-    itself delayed by one group, which keeps the cost proportional to
-    the runs of both operands.
+    When ``bits_a`` is a multiple of 31 the groups are simply joined.
+    Otherwise ``a``'s final group holds only ``shift`` bits, and output
+    group ``t`` of the appended part takes the low bits of ``b``'s
+    group ``t`` moved up by ``shift`` plus the high bits of its group
+    ``t - 1`` moved down: dense operands shift their group array, and
+    sparse ones merge ``b``'s runs with themselves delayed by one
+    group, which keeps the cost proportional to the runs of both.
     """
+    words_a = np.asarray(words_a, dtype=np.uint32)
+    words_b = np.asarray(words_b, dtype=np.uint32)
+    shift = bits_a % WORD_PAYLOAD_BITS
+    total_groups = groups_for_bits(bits_a) + groups_for_bits(bits_b)
+    if _is_dense(total_groups, [words_a, words_b]):
+        groups_a = _expand_groups(words_a)
+        groups_b = _expand_groups(words_b)
+        if shift:
+            current = np.append(groups_b, np.uint32(0))
+            previous = np.insert(groups_b, 0, np.uint32(0))
+            groups_b = ((current << shift) & LITERAL_PAYLOAD_MASK) | (
+                previous >> (WORD_PAYLOAD_BITS - shift)
+            )
+            groups_b[0] |= groups_a[-1]
+            groups_a = groups_a[:-1]
+        return _encode_groups(
+            np.concatenate((groups_a, groups_b))[
+                :groups_for_bits(bits_a + bits_b)
+            ]
+        )
     lengths_a, payloads_a = decode_words(words_a)
     lengths_b, payloads_b = decode_words(words_b)
-    shift = bits_a % WORD_PAYLOAD_BITS
     if shift == 0:
         return encode_runs(
             np.concatenate((lengths_a, lengths_b)),
@@ -379,9 +443,19 @@ def concat_words(words_a, bits_a: int, words_b, bits_b: int) -> np.ndarray:
 def positions_words(words) -> np.ndarray:
     """Sorted ``int64`` array of the set-bit positions of a word array.
 
-    Literals expand to their set bits and 1-fills to position ranges;
-    both are laid out in run order, so the result needs no sort.
+    Dense words unpack their group array whole.  Sparse ones expand
+    literals to their set bits and 1-fills to position ranges; both
+    are laid out in run order, so the result needs no sort.
     """
+    words = np.asarray(words, dtype=np.uint32)
+    if _is_dense(_num_groups(words), [words]):
+        groups = _expand_groups(words).astype("<u4", copy=False)
+        flat = np.flatnonzero(
+            np.unpackbits(groups.view(np.uint8), bitorder="little")
+            .view(bool)
+        )
+        flat -= flat >> 5
+        return flat
     lengths, payloads = decode_words(words)
     starts = (np.cumsum(lengths) - lengths) * WORD_PAYLOAD_BITS
     ones = payloads == LITERAL_PAYLOAD_MASK

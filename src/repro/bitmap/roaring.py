@@ -190,13 +190,16 @@ class RoaringBitmap:
             raise ValueError(
                 f"positions out of range for {num_bits}-bit bitmap"
             )
-        positions = np.unique(positions)
+        # Sort, then drop adjacent duplicates: np.unique hashes first
+        # on numpy 2.x, which is several times slower.
+        positions = np.sort(positions)
+        positions = positions[np.diff(positions, prepend=-1) != 0]
         keys = positions >> 16
         offsets = (positions & 0xFFFF).astype(np.uint16)
         containers: dict[int, _Container] = {}
-        unique_keys, starts = np.unique(keys, return_index=True)
-        boundaries = list(starts) + [positions.size]
-        for i, key in enumerate(unique_keys.tolist()):
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        boundaries = starts.tolist() + [positions.size]
+        for i, key in enumerate(keys[starts].tolist()):
             chunk_offsets = offsets[boundaries[i]:boundaries[i + 1]]
             containers[int(key)] = _Container.from_offsets(
                 chunk_offsets

@@ -83,14 +83,7 @@ class WahBitmap:
         """An all-one bitmap (1-fill plus, possibly, a partial literal)."""
         if num_bits < 0:
             raise ValueError(f"num_bits must be >= 0, got {num_bits}")
-        full_groups, tail_bits = divmod(num_bits, WORD_PAYLOAD_BITS)
-        return cls(
-            kernels.encode_runs(
-                [full_groups, 1 if tail_bits else 0],
-                [LITERAL_PAYLOAD_MASK, (1 << tail_bits) - 1],
-            ),
-            num_bits,
-        )
+        return cls(kernels.ones_words(num_bits), num_bits)
 
     @classmethod
     def from_positions(

@@ -32,6 +32,30 @@ class TestConstruction:
         assert bitmap.to_positions().tolist() == positions
         assert bitmap.num_chunks == 2
 
+    def test_unsorted_duplicates_build_the_same_containers(self):
+        rng = np.random.default_rng(5)
+        num_bits = 3 * CHUNK_BITS
+        # Chunk 0 sparse (array), chunk 1 dense (bitmap), chunk 2 empty.
+        distinct = np.concatenate((
+            rng.choice(CHUNK_BITS, size=50, replace=False),
+            CHUNK_BITS + rng.choice(
+                CHUNK_BITS, size=ARRAY_CONTAINER_LIMIT + 10, replace=False
+            ),
+        ))
+        messy = rng.permutation(
+            np.concatenate((distinct, distinct[::3], distinct[:7]))
+        )
+        built = RoaringBitmap.from_positions(messy, num_bits)
+        clean = RoaringBitmap.from_positions(np.sort(distinct), num_bits)
+        assert built.container_kinds() == {"array": 1, "bitmap": 1}
+        assert len(built.chunks()) == len(clean.chunks())
+        for got, want in zip(built.chunks(), clean.chunks()):
+            key, kind, data, cardinality = got
+            assert (key, kind, cardinality) == (want[0], want[1], want[3])
+            assert data.dtype == want[2].dtype
+            assert np.array_equal(data, want[2])
+        assert built == clean
+
     def test_from_positions_validation(self):
         with pytest.raises(ValueError):
             RoaringBitmap.from_positions([5], 5)

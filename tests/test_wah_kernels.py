@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import kernels
+from repro.bitmap.serialization import deserialize_wah, serialize_wah
 from repro.bitmap.wah import LITERAL_PAYLOAD_MASK, WahBitmap
 from repro.errors import BitmapDecodeError, BitmapLengthMismatchError
 from tests import wah_reference as ref
@@ -283,6 +284,216 @@ class TestLargerDeterministicCases:
         assert WahBitmap.union_all(bitmaps).words == tuple(
             ref.union_all(bitmap.words for bitmap in bitmaps)
         )
+
+
+def _force_regime(monkeypatch, dense: bool) -> None:
+    """Make the regime the gate must not pick fail loudly.
+
+    Only the sparse path decodes run arrays and only the dense path
+    expands group arrays, so disabling one proves the other ran.
+    """
+    name = "decode_words" if dense else "_expand_groups"
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{name} called on the wrong path")
+
+    monkeypatch.setattr(kernels, name, refuse)
+
+
+def _spaced(
+    periods: int, spacing: int, bit: int, extra_groups: int
+) -> WahBitmap:
+    """Bit ``bit`` set in every ``spacing``-th group, from group 0, then
+    ``extra_groups`` more groups: two words per ``spacing`` groups (a
+    literal and a 0-fill)."""
+    positions = np.arange(periods) * spacing * 31 + bit
+    return WahBitmap.from_positions(
+        positions, (periods * spacing + extra_groups) * 31
+    )
+
+
+def _near_empty(num_bits: int, count: int, seed: int) -> WahBitmap:
+    rng = np.random.default_rng(seed)
+    return WahBitmap.from_positions(
+        rng.choice(num_bits, size=count, replace=False), num_bits
+    )
+
+
+def _non_canonical(words) -> list[int]:
+    """The same groups with every fill split in two and a zero-length
+    0-fill and 1-fill before every literal (CRC-valid, not canonical)."""
+    out = []
+    for word in words:
+        count = word & kernels.FILL_COUNT_MASK
+        if word >= kernels.FILL_FLAG and count >= 2:
+            out += [word - count + count // 2, word - count // 2]
+        elif word < kernels.FILL_FLAG:
+            out += [kernels.FILL_FLAG, kernels.FILL_FLAG
+                    | kernels.FILL_VALUE_BIT, word]
+        else:
+            out.append(word)
+    return out
+
+
+class TestRegimes:
+    """Both sides of the ``DENSE_GROUPS_PER_WORD`` gate match the
+    scalar oracle word for word: random bitmaps (dense), long
+    near-empty ones (sparse) and operands exactly on the threshold."""
+
+    DENSE_BITS = 31 * 300 + 17
+    SPARSE_BITS = 31 * 100_000 + 17
+
+    def _operands(
+        self, dense: bool, count: int, trim_bits: int = 0
+    ) -> list[WahBitmap]:
+        if dense:
+            num_bits = self.DENSE_BITS - trim_bits
+            rng = np.random.default_rng(count)
+            return [
+                WahBitmap.from_dense(
+                    rng.random(num_bits) < rng.uniform(0.02, 0.6)
+                )
+                for _ in range(count)
+            ]
+        return [
+            _near_empty(self.SPARSE_BITS - trim_bits, 30, seed)
+            for seed in range(count)
+        ]
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_union_all(self, monkeypatch, dense, k):
+        bitmaps = self._operands(dense, k)
+        expected = ref.union_all(bitmap.words for bitmap in bitmaps)
+        _force_regime(monkeypatch, dense)
+        assert WahBitmap.union_all(bitmaps).words == tuple(expected)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_binary_ops(self, monkeypatch, dense):
+        a, b = self._operands(dense, 2)
+        expected = {
+            name: tuple(ref.binary(a.words, b.words, name))
+            for name in BINARY_OPS
+        }
+        _force_regime(monkeypatch, dense)
+        for name, op in BINARY_OPS.items():
+            assert op(a, b).words == expected[name]
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("shift", [0, 1, 17, 30])
+    def test_concat(self, monkeypatch, dense, shift):
+        (a,) = self._operands(dense, 1, trim_bits=17 - shift)
+        (b,) = self._operands(dense, 1, trim_bits=5)
+        assert a.num_bits % 31 == shift
+        expected = ref.concat(a.words, a.num_bits, b.words, b.num_bits)
+        _force_regime(monkeypatch, dense)
+        assert a.concat(b).words == tuple(expected)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_to_positions(self, monkeypatch, dense):
+        bitmaps = self._operands(dense, 3)
+        if dense:
+            # Mostly literals, with 1-fills and 0-fills among them.
+            bitmaps.append(WahBitmap.from_runs(
+                [(5, 200), (400, 410), (1000, 1300)], self.DENSE_BITS
+            ) ^ bitmaps[0])
+        else:
+            bitmaps.append(WahBitmap.from_runs(
+                [(100, 5000), (2_000_000, 2_000_100)], self.SPARSE_BITS
+            ))
+        expected = [ref.to_positions(bitmap.words) for bitmap in bitmaps]
+        _force_regime(monkeypatch, dense)
+        for bitmap, want in zip(bitmaps, expected):
+            got = bitmap.to_positions()
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("extra_groups", [0, 1], ids=["on", "over"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_union_all_on_the_threshold(self, monkeypatch, k, extra_groups):
+        # 2 words per 16k groups in each of k streams: exactly
+        # DENSE_GROUPS_PER_WORD groups per word, plus extra_groups.
+        spacing = 16 * k
+        num_groups = 4 * spacing + extra_groups
+        bitmaps = [
+            _spaced(4, spacing, bit, extra_groups) for bit in range(k)
+        ]
+        total_words = sum(bitmap.num_words for bitmap in bitmaps)
+        assert num_groups == (
+            kernels.DENSE_GROUPS_PER_WORD * total_words + extra_groups
+        )
+        expected = ref.union_all(bitmap.words for bitmap in bitmaps)
+        _force_regime(monkeypatch, dense=not extra_groups)
+        assert WahBitmap.union_all(bitmaps).words == tuple(expected)
+
+    @pytest.mark.parametrize("extra_groups", [0, 1], ids=["on", "over"])
+    def test_binary_concat_positions_on_the_threshold(
+        self, monkeypatch, extra_groups
+    ):
+        # Binary ops: 2 operands over G groups, 2 words per 32 groups
+        # each.  Concat (operands over G + G groups) and to_positions
+        # (one operand): 2 words per 16 groups.
+        a = _spaced(4, 32, 3, extra_groups)
+        b = _spaced(4, 32, 30, extra_groups)
+        c = _spaced(4, 16, 5, extra_groups)
+        d = _spaced(4, 16, 29, extra_groups)
+        c_short = WahBitmap.from_positions(c.to_positions(), c.num_bits - 7)
+        assert a.num_words == b.num_words == c.num_words == 8
+        expected = (
+            {name: tuple(ref.binary(a.words, b.words, name))
+             for name in BINARY_OPS},
+            [tuple(ref.concat(x.words, x.num_bits, d.words, d.num_bits))
+             for x in (c, c_short)],
+            ref.to_positions(c.words),
+        )
+        _force_regime(monkeypatch, dense=not extra_groups)
+        for name, op in BINARY_OPS.items():
+            assert op(a, b).words == expected[0][name]
+        assert [x.concat(d).words for x in (c, c_short)] == expected[1]
+        assert c.to_positions().tolist() == expected[2]
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_group_count_mismatch_raises(self, monkeypatch, dense):
+        if dense:
+            a = WahBitmap.from_positions([0, 40], 62).word_array
+            b = WahBitmap.from_positions([3], 31).word_array
+        else:
+            a = WahBitmap.zeros(31 * 1000).word_array
+            b = WahBitmap.zeros(31 * 999).word_array
+        _force_regime(monkeypatch, dense)
+        with pytest.raises(BitmapDecodeError):
+            kernels.binary_words(a, b, "or")
+        with pytest.raises(BitmapDecodeError):
+            kernels.union_all_words([a, b])
+        with pytest.raises(BitmapDecodeError):
+            kernels.union_all_words([b, a])
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_non_canonical_frames_reencode_canonically(
+        self, monkeypatch, dense
+    ):
+        canonical, other = self._operands(dense, 2)
+        num_bits = canonical.num_bits
+        words = _non_canonical(canonical.words)
+        assert len(words) > canonical.num_words
+        decoded = deserialize_wah(serialize_wah(WahBitmap(words, num_bits)))
+        assert decoded.words == tuple(words)  # the frame is accepted as is
+        zeros = WahBitmap.zeros(num_bits)
+        tail = WahBitmap.from_positions([0, 12], 40)
+        expected = (
+            canonical.words,
+            tuple(ref.binary(canonical.words, other.words, "and")),
+            tuple(ref.concat(canonical.words, num_bits, tail.words, 40)),
+            ref.to_positions(canonical.words),
+        )
+        _force_regime(monkeypatch, dense)
+        assert (decoded | zeros).words == expected[0]
+        assert decoded.andnot(zeros).words == expected[0]
+        assert WahBitmap.union_all([decoded]).words == expected[0]
+        assert WahBitmap.union_all([zeros, decoded]).words == expected[0]
+        assert (decoded & other).words == expected[1]
+        assert decoded.concat(tail).words == expected[2]
+        assert decoded.to_positions().tolist() == expected[3]
 
 
 class TestWordArray:
