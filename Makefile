@@ -5,7 +5,7 @@ PY := PYTHONPATH=src python
 .PHONY: test test-chaos test-crash test-stress test-shard \
 	test-ingest test-gateway test-resilience bench-wah-smoke \
 	bench-wah bench-e2e-smoke bench-serve-smoke bench-serve \
-	bench-gateway-smoke bench-gateway bench docs
+	bench-gateway-smoke bench-gateway bench docs loc
 
 # Tier-1 verification (what CI must keep green).
 test:
@@ -109,3 +109,7 @@ docs:
 	$(PY) tools/check_docstrings.py --fail-under 90
 	$(PY) tools/check_docstrings.py --module repro.serve.gateway --fail-under 100
 	python tools/check_docs.py
+
+# Python line count of src/ (tracked across changes; it should fall).
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l

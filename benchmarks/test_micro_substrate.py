@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bitmap.builder import build_leaf_bitmaps
+from repro.bitmap.builder import build_node_bitmaps
 from repro.bitmap.serialization import deserialize_wah, serialize_wah
 from repro.bitmap.wah import WahBitmap
 from repro.core.constrained import k_cut_selection
 from repro.core.multi import select_cut_multi
 from repro.core.single import hybrid_cut
 from repro.experiments.common import catalog_for
+from repro.hierarchy.tree import paper_hierarchy
 from repro.workload.generator import fraction_workload
 from repro.workload.query import RangeQuery
 
@@ -62,11 +63,12 @@ def test_wah_serialization_roundtrip(benchmark, sparse_pair):
     benchmark(lambda: deserialize_wah(serialize_wah(a)))
 
 
-def test_leaf_bitmap_index_build(benchmark):
+def test_node_bitmap_index_build(benchmark):
+    hierarchy = paper_hierarchy(100)
     rng = np.random.default_rng(2)
     column = rng.integers(0, 100, size=200_000).astype(np.int64)
     benchmark.pedantic(
-        lambda: build_leaf_bitmaps(column, 100),
+        lambda: build_node_bitmaps(hierarchy, column),
         rounds=3,
         iterations=1,
     )
@@ -116,18 +118,15 @@ def test_plwah_encode(benchmark, sparse_pair):
 
 
 def test_index_append_batch(benchmark):
-    from repro.bitmap.index import HierarchicalBitmapIndex
-    from repro.hierarchy.tree import paper_hierarchy
-
+    """The per-node tails one appended batch commits as a delta."""
     hierarchy = paper_hierarchy(100)
     rng = np.random.default_rng(4)
     batch = rng.integers(0, 100, size=20_000).astype(np.int64)
-
-    def append_once():
-        index = HierarchicalBitmapIndex(hierarchy)
-        index.append_rows(batch)
-
-    benchmark.pedantic(append_once, rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: build_node_bitmaps(hierarchy, batch),
+        rounds=3,
+        iterations=1,
+    )
 
 
 def test_adaptive_observe_with_check(benchmark):

@@ -37,8 +37,7 @@ Quickstart::
 from .bitmap import (
     PlainBitmap,
     WahBitmap,
-    build_leaf_bitmaps,
-    build_span_bitmap,
+    build_node_bitmaps,
     deserialize_wah,
     serialize_wah,
 )
@@ -169,8 +168,7 @@ __all__ = [
     # bitmaps
     "WahBitmap",
     "PlainBitmap",
-    "build_leaf_bitmaps",
-    "build_span_bitmap",
+    "build_node_bitmaps",
     "serialize_wah",
     "deserialize_wah",
     # hierarchy

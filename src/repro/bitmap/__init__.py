@@ -1,12 +1,7 @@
 """Bitmap substrate: WAH compression, a plain reference bitvector, index
 construction from data columns, and the on-disk serialization format."""
 
-from .builder import (
-    bitmap_for_leaf_set,
-    build_leaf_bitmaps,
-    build_span_bitmap,
-)
-from .index import HierarchicalBitmapIndex
+from .builder import build_node_bitmaps
 from .plain import PlainBitmap
 from .roaring import (
     ARRAY_CONTAINER_LIMIT,
@@ -48,10 +43,7 @@ __all__ = [
     "serialize_bitmap",
     "deserialize_bitmap",
     "verify_frame",
-    "build_leaf_bitmaps",
-    "build_span_bitmap",
-    "bitmap_for_leaf_set",
-    "HierarchicalBitmapIndex",
+    "build_node_bitmaps",
     "RoaringBitmap",
     "CHUNK_BITS",
     "ARRAY_CONTAINER_LIMIT",

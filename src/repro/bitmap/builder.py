@@ -1,91 +1,85 @@
-"""Constructing bitmap indices from data columns.
+"""Constructing a hierarchical bitmap index from a data column.
 
 A *column* here is a 1-D integer array of leaf ids: row ``i`` holds the
 leaf (finest-granularity domain value) of the indexed attribute.  The
 paper assumes only leaves occur in the database (§2.1.1); an internal
-node's bitmap marks the rows whose value is any of its leaf descendants.
+node's bitmap marks the rows whose value is any of its leaf descendants,
+i.e. it is the OR of its children's bitmaps (§2.1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import WorkloadError
+from ..hierarchy.tree import Hierarchy
 from .wah import WahBitmap
 
-__all__ = [
-    "build_leaf_bitmaps",
-    "build_span_bitmap",
-    "bitmap_for_leaf_set",
-]
+__all__ = ["build_node_bitmaps", "check_leaf_ids"]
 
 
-def build_leaf_bitmaps(
-    column: np.ndarray, num_leaves: int
-) -> list[WahBitmap]:
-    """Build one WAH bitmap per leaf value from a column of leaf ids.
+def check_leaf_ids(column: np.ndarray, num_leaves: int) -> np.ndarray:
+    """Return ``column`` as an array after checking it holds leaf ids.
 
-    Rows are grouped by value with a single stable sort, so the total cost
-    is ``O(n log n)`` regardless of the number of distinct leaves.
-
-    Args:
-        column: integer array of leaf ids in ``[0, num_leaves)``.
-        num_leaves: domain size; leaves absent from the column get
-            all-zero bitmaps.
-
-    Returns:
-        ``bitmaps`` where ``bitmaps[v]`` marks the rows with value ``v``.
+    Raises:
+        WorkloadError: ``column`` is not 1-D, not integral (unless
+            empty), or holds a value outside ``[0, num_leaves)``.
     """
     column = np.asarray(column)
     if column.ndim != 1:
-        raise ValueError(f"column must be 1-D, got shape {column.shape}")
-    if not np.issubdtype(column.dtype, np.integer):
-        raise ValueError(f"column must be integral, got {column.dtype}")
-    num_rows = int(column.size)
-    if num_rows and (column.min() < 0 or column.max() >= num_leaves):
-        raise ValueError(
+        raise WorkloadError(
+            f"column must be a 1-D array, got shape {column.shape}"
+        )
+    if column.size and not np.issubdtype(column.dtype, np.integer):
+        raise WorkloadError(
+            f"column must hold integral leaf ids, got {column.dtype}"
+        )
+    if column.size and (column.min() < 0 or column.max() >= num_leaves):
+        raise WorkloadError(
             f"column values must lie in [0, {num_leaves}), got range "
             f"[{column.min()}, {column.max()}]"
         )
+    return column
+
+
+def build_node_bitmaps(
+    hierarchy: Hierarchy, column: np.ndarray
+) -> list[WahBitmap]:
+    """Build one WAH bitmap per hierarchy node from a column of leaf ids.
+
+    One stable argsort groups the rows by leaf; each leaf's rows are a
+    ``searchsorted`` slice of that order, already in row order.  Internal
+    nodes are then ORed from their children in post-order, so no node
+    rescans the column.  A full build and an appended batch go through
+    it alike, so both validate leaf ids with :func:`check_leaf_ids`.
+
+    Args:
+        hierarchy: the indexed hierarchy.
+        column: integer array of leaf ids in ``[0, num_leaves)``; leaves
+            absent from the column get all-zero bitmaps.
+
+    Returns:
+        ``bitmaps`` where ``bitmaps[node_id]`` marks the rows under that
+        node, each ``column.size`` bits long.
+
+    Raises:
+        WorkloadError: ``column`` is not 1-D, not integral, or holds a
+            value outside ``[0, num_leaves)``.
+    """
+    column = check_leaf_ids(column, hierarchy.num_leaves)
+    num_rows = int(column.size)
     order = np.argsort(column, kind="stable")
-    sorted_values = column[order]
-    boundaries = np.searchsorted(
-        sorted_values, np.arange(num_leaves + 1)
+    bounds = np.searchsorted(
+        column[order], np.arange(hierarchy.num_leaves + 1)
     )
-    bitmaps = []
-    for leaf in range(num_leaves):
-        rows = order[boundaries[leaf]:boundaries[leaf + 1]]
-        bitmaps.append(WahBitmap.from_positions(np.sort(rows), num_rows))
+    bitmaps = [WahBitmap.zeros(num_rows)] * hierarchy.num_nodes
+    for leaf, node_id in enumerate(hierarchy.leaf_ids()):
+        bitmaps[node_id] = WahBitmap.from_positions(
+            order[bounds[leaf]:bounds[leaf + 1]], num_rows
+        )
+    for node_id in hierarchy.internal_ids_postorder():
+        bitmaps[node_id] = WahBitmap.union_all(
+            (bitmaps[child] for child in hierarchy.node(node_id).children),
+            num_bits=num_rows,
+        )
     return bitmaps
-
-
-def build_span_bitmap(
-    column: np.ndarray, leaf_lo: int, leaf_hi: int
-) -> WahBitmap:
-    """Bitmap of rows whose value lies in the leaf span ``[leaf_lo, leaf_hi]``.
-
-    This is how an internal hierarchy node's bitmap is materialized when
-    the node covers a contiguous range of leaves (always true for the
-    hierarchies in this reproduction).
-    """
-    column = np.asarray(column)
-    mask = (column >= leaf_lo) & (column <= leaf_hi)
-    return WahBitmap.from_positions(
-        np.flatnonzero(mask), int(column.size)
-    )
-
-
-def bitmap_for_leaf_set(
-    leaf_bitmaps: list[WahBitmap], leaves: list[int] | range
-) -> WahBitmap:
-    """OR together the bitmaps of the given leaves.
-
-    Equivalent to :func:`build_span_bitmap` for contiguous ``leaves`` but
-    built from already-materialized leaf bitmaps; used to cross-check the
-    two construction paths in tests.
-    """
-    if not leaf_bitmaps:
-        raise ValueError("leaf_bitmaps must be non-empty")
-    num_bits = leaf_bitmaps[0].num_bits
-    return WahBitmap.union_all(
-        (leaf_bitmaps[leaf] for leaf in leaves), num_bits=num_bits
-    )

@@ -34,6 +34,7 @@ The discipline of the thread path survives the process boundary:
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -617,12 +618,17 @@ class ShardedExecutor:
         ``durable=True`` is passed through); workers later *reopen*
         those stores via
         :meth:`~repro.storage.catalog.MaterializedNodeCatalog.from_store`.
+        A column that is not 1-D integral leaf ids raises
+        :class:`~repro.errors.WorkloadError` before any shard is built.
         """
+        from ..bitmap.builder import check_leaf_ids
         from ..storage.catalog import MaterializedNodeCatalog
         from ..storage.filestore import BitmapFileStore
         from ..storage.manifest import DurableBitmapStore
 
-        column = np.asarray(column)
+        # The whole column up front: a bad value in a later shard must
+        # not leave the earlier shards' stores built.
+        column = check_leaf_ids(column, hierarchy.num_leaves)
         durable = bool(kwargs.get("durable", False))
         store_cls = (
             DurableBitmapStore if durable else BitmapFileStore
@@ -1027,10 +1033,10 @@ class ShardedExecutor:
     ) -> tuple[QueryOutcome, ...]:
         """Merge per-shard outcomes into full-column outcomes.
 
-        Answers concatenate by row offset: each shard's set positions
-        shift by its ``row_lo`` and one canonical
-        :meth:`~repro.bitmap.wah.WahBitmap.from_positions` build over
-        the union makes the merged words identical to a single-shard
+        Answers join in shard order with
+        :meth:`~repro.bitmap.wah.WahBitmap.concat` (shards own
+        consecutive row ranges), the same canonical join merge-on-read
+        uses, so the merged words are identical to a single-shard
         answer.  A failure on any shard makes the merged outcome a
         :class:`~repro.errors.QueryFailedError` carrying the shard id
         (IO and events of all shards, failed included, stay merged).
@@ -1069,15 +1075,8 @@ class ShardedExecutor:
                     )
                 )
                 continue
-            positions = np.concatenate(
-                [
-                    part.result.answer.to_positions()
-                    + report.row_lo
-                    for report, part in zip(shard_reports, parts)
-                ]
-            )
-            answer = WahBitmap.from_positions(
-                positions, self.num_rows
+            answer = functools.reduce(
+                WahBitmap.concat, (part.result.answer for part in parts)
             )
             result = ExecutionResult(
                 query=query,

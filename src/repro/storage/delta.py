@@ -2,9 +2,11 @@
 
 The materialized index is read-optimized; rebuilding it for every
 appended batch would cost a full index write.  Instead,
-:class:`DeltaAppender` turns a batch of appended rows into one small
-*delta generation*: per hierarchy node, the WAH tail bitmap covering
-only the batch (zero tails compress to a single fill word), committed
+:class:`DeltaAppender` — the one way rows are appended to an index —
+turns a batch of appended rows into one small *delta generation*: per
+hierarchy node, the WAH tail bitmap covering only the batch, built by
+the same :func:`~repro.bitmap.builder.build_node_bitmaps` as a full
+build (zero tails compress to a single fill word), committed
 atomically through the same tmp + fsync + manifest-swap protocol as a
 full build (:class:`~repro.storage.manifest.DeltaBuild`).
 
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bitmap.builder import build_node_bitmaps
 from ..bitmap.serialization import serialize_wah
-from ..bitmap.wah import WahBitmap
-from ..errors import StorageError, WorkloadError
+from ..errors import StorageError
 from ..hierarchy.tree import Hierarchy
 from ..obs import get_metrics, record
 from .manifest import DurableBitmapStore
@@ -120,12 +122,9 @@ class DeltaAppender:
         An empty batch commits nothing and returns a result with
         ``committed == False``.
         """
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise WorkloadError(
-                f"values must be a 1-D array, got shape {values.shape}"
-            )
-        if values.size == 0:
+        tails = build_node_bitmaps(self._hierarchy, values)
+        batch = int(np.asarray(values).size)
+        if batch == 0:
             return DeltaAppendResult(
                 seq=0,
                 generation=0,
@@ -133,29 +132,14 @@ class DeltaAppender:
                 files_written=0,
                 bytes_written=0,
             )
-        if not np.issubdtype(values.dtype, np.integer):
-            raise WorkloadError(
-                f"values must be integral leaf ids, got {values.dtype}"
-            )
-        num_leaves = self._hierarchy.num_leaves
-        if values.min() < 0 or values.max() >= num_leaves:
-            raise WorkloadError(
-                f"values must lie in [0, {num_leaves}), got range "
-                f"[{values.min()}, {values.max()}]"
-            )
-        batch = int(values.size)
         bytes_written = 0
         store = self._store
         with store._reorg_lock:
             with store.begin_delta(batch) as delta:
                 seq = delta.seq
                 generation = delta.generation
-                for node_id, positions in self._tail_positions(
-                    values
-                ):
-                    payload = serialize_wah(
-                        WahBitmap.from_positions(positions, batch)
-                    )
+                for node_id, tail in enumerate(tails):
+                    payload = serialize_wah(tail)
                     delta.add(node_id, payload)
                     bytes_written += len(payload)
                 files_written = len(delta.staged_names)
@@ -175,22 +159,3 @@ class DeltaAppender:
             files_written=files_written,
             bytes_written=bytes_written,
         )
-
-    def _tail_positions(self, values: np.ndarray):
-        """Yield ``(node_id, batch positions)`` for every node.
-
-        One stable argsort plus two binary searches per node (every
-        node covers a contiguous leaf span), the same
-        O((batch + nodes) · log batch) sweep as
-        ``HierarchicalBitmapIndex._node_tail_positions``.
-        """
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        for node in self._hierarchy:
-            lo = np.searchsorted(
-                sorted_values, node.leaf_lo, side="left"
-            )
-            hi = np.searchsorted(
-                sorted_values, node.leaf_hi, side="right"
-            )
-            yield node.node_id, order[lo:hi]

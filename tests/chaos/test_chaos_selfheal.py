@@ -151,16 +151,23 @@ class TestSequentialKillReAdmission:
                 [replica_a, replica_b], config
             ) as gateway:
                 waves = [await wave(gateway)]
-                for victim in (replica_a, replica_b):
+                for kills, victim in enumerate(
+                    (replica_a, replica_b), start=1
+                ):
                     worker = victim.executor.worker_processes[0]
                     worker.kill()
                     worker.join(timeout=10.0)
                     # Traffic keeps flowing while the victim is down
                     # (failover) and while it is being rebuilt.
                     waves.append(await wave(gateway))
+                    # Wait for this kill's re-admission, not just for
+                    # all-active: a wave that round-robin served from
+                    # the healthy peer can finish before the health
+                    # scan has seen the kill at all.
                     await _poll(
                         lambda: gateway.replica_states()
                         == {0: "active", 1: "active"}
+                        and gateway.stats().readmissions >= kills
                     )
                     waves.append(await wave(gateway))
                 states = gateway.replica_states()

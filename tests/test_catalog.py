@@ -5,13 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import StorageError, WorkloadError
 from repro.storage.catalog import (
     MaterializedNodeCatalog,
     ModeledNodeCatalog,
     node_file_name,
 )
 from repro.storage.costmodel import MB, CostModel
+from repro.storage.filestore import BitmapFileStore
+from repro.storage.manifest import DurableBitmapStore
 
 
 class TestModeledCatalog:
@@ -165,3 +167,30 @@ class TestMaterializedCatalog:
                 hierarchy.leaf_node_id(value)
             )
         assert catalog.bitmap(root_child) == union
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+@pytest.mark.parametrize(
+    "column,match",
+    [
+        (np.zeros((2, 2), dtype=np.int64), "1-D"),
+        (np.array([0.5, 3.7, 1.0]), "integral"),
+        (np.array([0, 5, 20, 3, -1], dtype=np.int64), "lie in"),
+        (np.array([10**6], dtype=np.int64), "lie in"),
+    ],
+)
+def test_catalog_rejects_bad_columns(
+    tmp_path, small_hierarchy, durable, column, match
+):
+    """A bad column raises before anything is written or committed."""
+    store = (
+        DurableBitmapStore(tmp_path / "store")
+        if durable
+        else BitmapFileStore()
+    )
+    with pytest.raises(WorkloadError, match=match):
+        MaterializedNodeCatalog(small_hierarchy, column, store)
+    assert list(store.names()) == []
+    if durable:
+        assert store.generation == 0
+        assert DurableBitmapStore(tmp_path / "store").generation == 0

@@ -19,7 +19,11 @@ import pytest
 
 from repro.core.executor import QueryExecutor, scan_answer
 from repro.core.multi import select_cut_multi
-from repro.errors import QueryFailedError, ShardFailedError
+from repro.errors import (
+    QueryFailedError,
+    ShardFailedError,
+    WorkloadError,
+)
 from repro.serve import (
     BatchExecutor,
     ShardSpec,
@@ -114,6 +118,19 @@ class TestShardRowRanges:
                 [ShardSpec(0, "a", 0, 10)],
                 threads_per_shard=0,
             )
+
+    def test_build_rejects_a_bad_column_before_any_shard(
+        self, small_hierarchy, tmp_path
+    ):
+        """A bad value in the last shard's rows leaves no shard
+        store built, the first one included."""
+        column = np.zeros(40, dtype=np.int64)
+        column[-1] = small_hierarchy.num_leaves
+        with pytest.raises(WorkloadError, match="lie in"):
+            ShardedExecutor.build(
+                small_hierarchy, column, 2, tmp_path, durable=True
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestShardedCorrectness:
