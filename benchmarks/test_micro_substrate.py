@@ -68,7 +68,7 @@ def test_node_bitmap_index_build(benchmark):
     rng = np.random.default_rng(2)
     column = rng.integers(0, 100, size=200_000).astype(np.int64)
     benchmark.pedantic(
-        lambda: build_node_bitmaps(hierarchy, column),
+        lambda: list(build_node_bitmaps(hierarchy, column)),
         rounds=3,
         iterations=1,
     )
@@ -123,7 +123,7 @@ def test_index_append_batch(benchmark):
     rng = np.random.default_rng(4)
     batch = rng.integers(0, 100, size=20_000).astype(np.int64)
     benchmark.pedantic(
-        lambda: build_node_bitmaps(hierarchy, batch),
+        lambda: list(build_node_bitmaps(hierarchy, batch)),
         rounds=3,
         iterations=1,
     )

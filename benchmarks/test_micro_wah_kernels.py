@@ -1,7 +1,9 @@
 """Micro-benchmark: vectorized WAH kernels vs. the scalar reference.
 
 Times the operations the query executor bottoms out in — k-way
-``union_all``, pairwise OR / ANDNOT, complement, and ``count`` — on
+``union_all``, the in-place group accumulator a plan is evaluated
+into (``or_words_into`` over many operands, then one encode), pairwise
+OR / ANDNOT, complement, and ``count`` — on
 :class:`~repro.bitmap.wah.WahBitmap` (the numpy kernels) against the
 scalar per-word oracle in ``tests/wah_reference.py``, asserting
 bit-identical results.  A sparse-regime row (a few dozen positions per
@@ -48,6 +50,9 @@ NUM_BITMAPS = 8 if CHECK_MODE else 64
 DENSITY = 0.01
 MIN_UNION_SPEEDUP = 5.0
 SPARSE_BITS = 30_000_000
+#: Set bits per operand of the sparse accumulator row: few enough that
+#: each operand alone is below the dense gate.
+ACC_SPARSE_POSITIONS = NUM_BITS // 2000
 SPARSE_POSITIONS = 40
 SPARSE_BITMAPS = 16
 
@@ -74,9 +79,9 @@ _RECORDS: dict = {
 }
 
 
-def _fresh_bitmaps(count: int) -> list[WahBitmap]:
+def _fresh_bitmaps(count: int, density: float = DENSITY) -> list[WahBitmap]:
     rng = np.random.default_rng(7)
-    size = max(1, int(NUM_BITS * DENSITY))
+    size = max(1, int(NUM_BITS * density))
     return [
         WahBitmap.from_positions(
             rng.choice(NUM_BITS, size=size, replace=False), NUM_BITS
@@ -139,6 +144,45 @@ def test_union_all_kway():
         )
 
 
+def _accumulate(operands: list[WahBitmap]) -> WahBitmap:
+    """The fused evaluator's OR: every operand into one group array in
+    place, then a single encode."""
+    acc = np.zeros(kernels.groups_for_bits(NUM_BITS), dtype=np.uint32)
+    for bitmap in operands:
+        kernels.or_words_into(acc, bitmap.word_array)
+    return WahBitmap.from_groups(acc, NUM_BITS)
+
+
+@pytest.mark.parametrize(
+    "regime,density",
+    [("dense", DENSITY), ("sparse", ACC_SPARSE_POSITIONS / NUM_BITS)],
+)
+def test_accumulator_or_kway(monkeypatch, regime, density):
+    """The k-way OR as a plan evaluates it, next to ``union_all`` of
+    the same operands; the sparse row's operands each stay below the
+    dense gate, so none of them is expanded."""
+    operands = _fresh_bitmaps(NUM_BITMAPS, density)
+    word_lists = [list(bitmap.words) for bitmap in operands]
+    union_s, union_result = _time(lambda: WahBitmap.union_all(operands))
+    scalar_s, scalar_result = _time(
+        lambda: ref.union_all(word_lists), repeats=1
+    )
+    if regime == "sparse":
+        monkeypatch.setattr(kernels, "_expand_groups", None)
+    kernel_s, kernel_result = _time(lambda: _accumulate(operands))
+    assert kernel_result.words == union_result.words == tuple(scalar_result)
+    _record(
+        f"accumulator_or_{regime}", scalar_s, kernel_s,
+        union_all_seconds=union_s, num_bitmaps=NUM_BITMAPS,
+        positions_per_bitmap=operands[0].count(),
+    )
+    if not CHECK_MODE:
+        assert scalar_s / kernel_s >= MIN_UNION_SPEEDUP, (
+            f"accumulator OR only {scalar_s / kernel_s:.1f}x faster "
+            f"than the scalar reference (need >= {MIN_UNION_SPEEDUP}x)"
+        )
+
+
 @pytest.mark.parametrize("op_name", ["or", "and", "andnot", "xor"])
 def test_pairwise_ops(op_name):
     a, b = _fresh_bitmaps(2)
@@ -191,7 +235,7 @@ def test_union_all_sparse_regime(monkeypatch):
         acc = kernels._expand_groups(streams[0])
         for words in streams[1:]:
             np.bitwise_or(acc, kernels._expand_groups(words), out=acc)
-        return kernels._encode_groups(acc)
+        return kernels.encode_groups(acc)
 
     dense_s, dense_result = _time(dense_union)
     scalar_s, scalar_result = _time(

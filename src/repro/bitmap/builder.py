@@ -9,6 +9,8 @@ i.e. it is the OR of its children's bitmaps (§2.1).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -44,14 +46,21 @@ def check_leaf_ids(column: np.ndarray, num_leaves: int) -> np.ndarray:
 
 def build_node_bitmaps(
     hierarchy: Hierarchy, column: np.ndarray
-) -> list[WahBitmap]:
+) -> Iterator[tuple[int, WahBitmap]]:
     """Build one WAH bitmap per hierarchy node from a column of leaf ids.
 
     One stable argsort groups the rows by leaf; each leaf's rows are a
-    ``searchsorted`` slice of that order, already in row order.  Internal
-    nodes are then ORed from their children in post-order, so no node
-    rescans the column.  A full build and an appended batch go through
-    it alike, so both validate leaf ids with :func:`check_leaf_ids`.
+    slice of that order (bounded by the leaf counts), already in row
+    order.  Nodes are formed in post-order, every internal node as the
+    OR of its children, so no node rescans the column.  Each node is
+    yielded as soon as it is formed and the builder drops a child once
+    its parent is ORed: it holds at most the finished children of the
+    nodes on one root-to-leaf path, never the whole index.  A full
+    build and an appended batch go through it alike.
+
+    The column is validated with :func:`check_leaf_ids` by this call,
+    before the first node is yielded, so a caller that writes nodes as
+    they arrive writes nothing for a bad column.
 
     Args:
         hierarchy: the indexed hierarchy.
@@ -59,27 +68,56 @@ def build_node_bitmaps(
             absent from the column get all-zero bitmaps.
 
     Returns:
-        ``bitmaps`` where ``bitmaps[node_id]`` marks the rows under that
-        node, each ``column.size`` bits long.
+        An iterator of ``(node_id, bitmap)`` over every node, children
+        before parents; each bitmap marks the rows under its node and
+        is ``column.size`` bits long.
 
     Raises:
         WorkloadError: ``column`` is not 1-D, not integral, or holds a
             value outside ``[0, num_leaves)``.
     """
     column = check_leaf_ids(column, hierarchy.num_leaves)
-    num_rows = int(column.size)
-    order = np.argsort(column, kind="stable")
-    bounds = np.searchsorted(
-        column[order], np.arange(hierarchy.num_leaves + 1)
+    # Leaf ids fit the narrowest unsigned type holding num_leaves - 1,
+    # which numpy's stable sort radix-sorts; the order is the same.
+    keys = column.astype(
+        np.min_scalar_type(max(hierarchy.num_leaves - 1, 0)), copy=False
     )
-    bitmaps = [WahBitmap.zeros(num_rows)] * hierarchy.num_nodes
-    for leaf, node_id in enumerate(hierarchy.leaf_ids()):
-        bitmaps[node_id] = WahBitmap.from_positions(
+    order = np.argsort(keys, kind="stable")
+    bounds = np.zeros(hierarchy.num_leaves + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(keys, minlength=hierarchy.num_leaves), out=bounds[1:]
+    )
+    return _postorder(hierarchy, hierarchy.root_id, order, bounds)
+
+
+def _postorder(
+    hierarchy: Hierarchy,
+    node_id: int,
+    order: np.ndarray,
+    bounds: np.ndarray,
+):
+    """Yield ``(node_id, bitmap)`` over the subtree of ``node_id``,
+    children first, and return the node's own bitmap.
+
+    ``order`` is the column's stable argsort and ``bounds[leaf]`` the
+    first position in it of each leaf's rows.  (A module-level
+    generator: a nested one would close over itself, and that cycle
+    would keep ``order`` alive until a garbage collection.)
+    """
+    num_rows = int(order.size)
+    node = hierarchy.node(node_id)
+    if node.is_leaf:
+        leaf = node.leaf_lo
+        bitmap = WahBitmap.from_positions(
             order[bounds[leaf]:bounds[leaf + 1]], num_rows
         )
-    for node_id in hierarchy.internal_ids_postorder():
-        bitmaps[node_id] = WahBitmap.union_all(
-            (bitmaps[child] for child in hierarchy.node(node_id).children),
-            num_bits=num_rows,
-        )
-    return bitmaps
+    else:
+        children = []
+        for child in node.children:
+            children.append(
+                (yield from _postorder(hierarchy, child, order, bounds))
+            )
+        bitmap = WahBitmap.union_all(children, num_bits=num_rows)
+        del children
+    yield node_id, bitmap
+    return bitmap

@@ -8,7 +8,7 @@ per word they hold (summed over the operands) are *word-dense*.
 
 * **Dense** - expand each word array into one ``uint32`` payload per
   group, apply the op to whole group arrays and re-encode with
-  :func:`_encode_groups`; positions unpack the group array, where
+  :func:`encode_groups`; positions unpack the group array, where
   bit ``b`` of group ``g`` is unpacked index ``32g + b`` and row
   ``31g + b``.  Cost follows the group count.
 * **Sparse** - decode each word array into ``(lengths, payloads)`` run
@@ -22,6 +22,13 @@ per word they hold (summed over the operands) are *word-dense*.
 Both emit the canonical encoding (uniform groups become fills,
 adjacent same-value fills merge, fills split at 2^30-1 groups), word
 for word the scalar oracle's in ``tests/wah_reference.py``.
+
+:func:`or_words_into` and :func:`andnot_words_into` combine one word
+array into a caller-owned group array in place, under the same gate:
+a dense operand is expanded and applied whole, a sparse one touches
+only the groups its literals and 1-fills cover.  A query evaluates
+its whole plan into one such accumulator and encodes it once with
+:func:`encode_groups`.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ __all__ = [
     "ones_words",
     "invert_words",
     "concat_words",
+    "or_words_into",
+    "andnot_words_into",
+    "encode_groups",
     "positions_words",
     "count_words",
     "popcount32",
@@ -238,7 +248,7 @@ def _expand_groups(words: np.ndarray) -> np.ndarray:
     return np.repeat(payloads, lengths)
 
 
-def _encode_groups(groups: np.ndarray) -> np.ndarray:
+def encode_groups(groups: np.ndarray) -> np.ndarray:
     """Canonically encode a per-group ``uint32`` payload array.
 
     Each uniform stretch of equal payloads becomes one fill word and
@@ -322,7 +332,7 @@ def _fold(word_streams: Sequence, op_func) -> np.ndarray:
             raise BitmapDecodeError(
                 "operand word streams cover different group counts"
             )
-        return _encode_groups(functools.reduce(op_func, expanded))
+        return encode_groups(functools.reduce(op_func, expanded))
     runs = [decode_words(words) for words in streams]
     bounds, ends_list = _merge_bounds(runs)
     out = functools.reduce(op_func, (
@@ -352,6 +362,52 @@ def union_all_words(word_streams: Sequence) -> np.ndarray:
     if not word_streams:
         raise ValueError("union_all_words requires at least one stream")
     return _fold(word_streams, _BINARY_OPS["or"])
+
+
+def _apply_into(acc: np.ndarray, words, op: str) -> None:
+    """Apply ``_BINARY_OPS[op]`` with a word array to a group array,
+    in place: a dense operand whole, a sparse one by its literals and
+    1-fills (0-groups leave both ops' results unchanged)."""
+    words = np.asarray(words, dtype=np.uint32)
+    if _is_dense(acc.size, [words]):
+        groups = _expand_groups(words)
+        if groups.size != acc.size:
+            raise BitmapDecodeError(
+                f"operand covers {groups.size} groups, the "
+                f"accumulator {acc.size}"
+            )
+        _BINARY_OPS[op](acc, groups)
+        return
+    lengths, payloads = decode_words(words)
+    ends = np.cumsum(lengths)
+    covered = int(ends[-1]) if ends.size else 0
+    if covered != acc.size:
+        raise BitmapDecodeError(
+            f"operand covers {covered} groups, the accumulator "
+            f"{acc.size}"
+        )
+    starts = ends - lengths
+    # One-group runs (literals) combine by index; longer ones are fills.
+    single = (lengths == 1) & (payloads != 0)
+    at = starts[single]
+    acc[at] = _BINARY_OPS[op](acc[at], payloads[single].astype(np.uint32))
+    ones = (lengths > 1) & (payloads != 0)
+    if ones.any():
+        acc[expand_ranges(starts[ones], lengths[ones])] = (
+            LITERAL_PAYLOAD_MASK if op == "or" else 0
+        )
+
+
+def or_words_into(acc: np.ndarray, words) -> None:
+    """OR a word array into ``acc``, a writable ``uint32`` array of one
+    payload per 31-bit group covering the same groups, in place."""
+    _apply_into(acc, words, "or")
+
+
+def andnot_words_into(acc: np.ndarray, words) -> None:
+    """Clear from ``acc`` (as for :func:`or_words_into`) every bit set
+    in a word array, in place."""
+    _apply_into(acc, words, "andnot")
 
 
 def ones_words(num_bits: int) -> np.ndarray:
@@ -396,7 +452,7 @@ def concat_words(words_a, bits_a: int, words_b, bits_b: int) -> np.ndarray:
             )
             groups_b[0] |= groups_a[-1]
             groups_a = groups_a[:-1]
-        return _encode_groups(
+        return encode_groups(
             np.concatenate((groups_a, groups_b))[
                 :groups_for_bits(bits_a + bits_b)
             ]

@@ -147,6 +147,23 @@ class WahBitmap:
             kernels.expand_ranges(starts, stops - starts), num_bits
         )
 
+    @classmethod
+    def from_groups(cls, groups: np.ndarray, num_bits: int) -> "WahBitmap":
+        """Encode a ``uint32`` array of one 31-bit payload per group.
+
+        ``groups`` must cover exactly the groups of ``num_bits`` bits,
+        with the padding bits of a partial final group clear: the
+        state of a group accumulator filled by
+        :func:`~repro.bitmap.kernels.or_words_into` and
+        :func:`~repro.bitmap.kernels.andnot_words_into`.
+        """
+        groups = np.asarray(groups, dtype=np.uint32)
+        if groups.size != kernels.groups_for_bits(num_bits):
+            raise ValueError(
+                f"{groups.size} groups do not hold {num_bits} bits"
+            )
+        return cls(kernels.encode_groups(groups), num_bits)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -37,6 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bitmap.kernels import (
+    andnot_words_into,
+    groups_for_bits,
+    or_words_into,
+)
 from ..bitmap.serialization import (
     codec_name,
     deserialize_wah,
@@ -46,6 +51,7 @@ from ..bitmap.serialization import (
 from ..bitmap.wah import WahBitmap
 from ..errors import (
     BitmapDecodeError,
+    BitmapLengthMismatchError,
     FileMissingError,
     StorageError,
     UnrecoverableReadError,
@@ -77,6 +83,10 @@ __all__ = [
 
 #: Decode attempts per node before falling back to degradation.
 DEFAULT_DECODE_RETRY = RetryPolicy(max_attempts=3)
+
+#: ``QueryExecutor.aggregate`` reducers over the selected rows' measure
+#: (``count`` needs no measure).
+_REDUCERS = {"sum": np.sum, "avg": np.mean, "min": np.min, "max": np.max}
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,15 +223,23 @@ class QueryExecutor:
         node_id: int,
         events: list[DegradedRead] | None,
         recover,
-    ) -> tuple[WahBitmap, bool]:
+    ) -> tuple[WahBitmap, np.ndarray | None, bool]:
         """Read and decode one bitmap file, retrying as needed.
 
         Attempt 1 goes through the pool's cache; later attempts force
         a fresh fetch (a cached copy that failed its checksum is stale
         by definition).  If every attempt fails and ``events`` is
         given, ``recover(node_id, name, attempts, last_error,
-        events)`` supplies the bitmap instead; the returned flag says
-        whether that recovery path ran.
+        events)`` supplies the bitmap instead.
+
+        A pinned payload is decoded (and CRC-checked) once: the bitmap
+        and its expanded group array stay resident beside the pin
+        (:meth:`~repro.storage.cache.BufferPool.pinned_view`), so a
+        later hit on the same bytes decodes nothing.
+
+        Returns ``(bitmap, groups, recovered)``: ``groups`` is the
+        read-only group array of a pinned payload, else ``None``, and
+        ``recovered`` says whether the recovery path ran.
         """
         metrics = get_metrics()
         last_error: Exception | None = None
@@ -240,20 +258,12 @@ class QueryExecutor:
                 last_error = err
                 break
             try:
-                if metrics.enabled:
-                    started = time.perf_counter()
-                    bitmap = deserialize_wah(payload)
-                    metrics.observe(
-                        "decode_seconds",
-                        time.perf_counter() - started,
-                    )
-                    metrics.inc(
-                        "decoded_bytes_total",
-                        len(payload),
-                        codec=codec_name(payload_codec(payload)),
-                    )
-                    return bitmap, False
-                return deserialize_wah(payload), False
+                pinned = self._pool.pinned_view(
+                    name, payload, self._decode_pinned
+                )
+                if pinned is not None:
+                    return *pinned, False
+                return self._decode(payload), None, False
             except BitmapDecodeError as err:
                 last_error = err
                 self._pool.record_discard(name, len(payload))
@@ -268,7 +278,38 @@ class QueryExecutor:
         assert last_error is not None
         if events is None or not self._allow_degraded:
             raise last_error
-        return recover(node_id, name, attempts, last_error, events), True
+        return (
+            recover(node_id, name, attempts, last_error, events),
+            None,
+            True,
+        )
+
+    def _decode(self, payload: bytes) -> WahBitmap:
+        """Decode one payload, observing its decode time and size when
+        metrics are on."""
+        metrics = get_metrics()
+        if not metrics.enabled:
+            return deserialize_wah(payload)
+        started = time.perf_counter()
+        bitmap = deserialize_wah(payload)
+        metrics.observe("decode_seconds", time.perf_counter() - started)
+        metrics.inc(
+            "decoded_bytes_total",
+            len(payload),
+            codec=codec_name(payload_codec(payload)),
+        )
+        return bitmap
+
+    def _decode_pinned(
+        self, payload: bytes
+    ) -> tuple[WahBitmap, np.ndarray]:
+        """The resident view of a pinned payload: its bitmap and the
+        bitmap's read-only group array."""
+        bitmap = self._decode(payload)
+        groups = np.zeros(groups_for_bits(bitmap.num_bits), np.uint32)
+        or_words_into(groups, bitmap.word_array)
+        groups.flags.writeable = False
+        return bitmap, groups
 
     def _note_degraded(
         self,
@@ -297,11 +338,11 @@ class QueryExecutor:
         )
         get_metrics().inc("degraded_reads_total")
 
-    def _bitmap(
+    def _operand(
         self,
         node_id: int,
         events: list[DegradedRead] | None = None,
-    ) -> WahBitmap:
+    ) -> tuple[WahBitmap, np.ndarray | None]:
         """A node's *effective* bitmap: base merged with live deltas.
 
         Over a plain store this is one read (with the retry/degrade
@@ -317,23 +358,28 @@ class QueryExecutor:
         base under a long-lived pool; delta payloads are immutable) is
         dropped — along with its whole node group — and re-read
         against a fresh manifest snapshot.
+
+        Returns ``(bitmap, groups)``, where ``groups`` is the resident
+        read-only group array when the effective bitmap is exactly a
+        pinned payload, and ``None`` for anything merged with deltas,
+        recovered from descendants, or not pinned.
         """
         name = node_file_name(node_id)
         manifest = self._manifest_snapshot()
         if manifest is None:
-            bitmap, _ = self._read_bitmap_file(
+            bitmap, groups, _ = self._read_bitmap_file(
                 name, node_id, events, self._recover_base
             )
-            return bitmap
+            return bitmap, groups
         for attempt in range(3):
-            base, recovered = self._read_bitmap_file(
+            base, groups, recovered = self._read_bitmap_file(
                 name, node_id, events, self._recover_base
             )
             if recovered:
                 # The children unioned by the recovery were themselves
                 # merged (base + deltas); appending deltas again here
                 # would double-count the appended rows.
-                return base
+                return base, None
             if base.num_bits != manifest.num_rows:
                 if attempt == 2:
                     raise StorageError(
@@ -356,7 +402,7 @@ class QueryExecutor:
                 manifest = refreshed
                 continue
             if not manifest.deltas:
-                return base
+                return base, groups
             try:
                 merged = base
                 for delta in manifest.deltas:
@@ -405,7 +451,7 @@ class QueryExecutor:
                 num_bits=merged.num_bits,
             )
             get_metrics().inc("delta_merges_total")
-            return merged
+            return merged, None
         raise StorageError(  # pragma: no cover - loop always resolves
             f"merge-on-read of node {node_id} did not converge"
         )
@@ -432,7 +478,7 @@ class QueryExecutor:
             ) from last_error
         # Hierarchical degradation: B_n == OR of children's bitmaps.
         parts = [
-            self._bitmap(child, events) for child in node.children
+            self._operand(child, events)[0] for child in node.children
         ]
         recovered = WahBitmap.union_all(
             parts, num_bits=self._num_rows()
@@ -500,7 +546,7 @@ class QueryExecutor:
             return recovered
 
         name = delta_file_name(delta.seq, node_id)
-        bitmap, _ = self._read_bitmap_file(
+        bitmap, _groups, _ = self._read_bitmap_file(
             name, node_id, events, recover
         )
         if bitmap.num_bits != delta.num_rows:
@@ -542,14 +588,6 @@ class QueryExecutor:
         )
         get_metrics().inc("online_repairs_total")
 
-    def _leaf_bitmap(
-        self,
-        leaf_value: int,
-        events: list[DegradedRead] | None = None,
-    ) -> WahBitmap:
-        node_id = self._catalog.hierarchy.leaf_node_id(leaf_value)
-        return self._bitmap(node_id, events)
-
     def pin_cut(self, node_ids) -> None:
         """Load a cut's bitmaps once and keep them resident (Case 2/3)."""
         self._pool.pin(
@@ -557,8 +595,38 @@ class QueryExecutor:
         )
 
     # ------------------------------------------------------------------
+    def _apply(
+        self,
+        target: np.ndarray,
+        node_id: int,
+        op: str,
+        num_bits: int,
+        events: list[DegradedRead],
+    ) -> None:
+        """Combine one node's effective bitmap into a group array in
+        place: OR it in (``op="or"``) or clear its bits
+        (``op="andnot"``)."""
+        bitmap, groups = self._operand(node_id, events)
+        if bitmap.num_bits != num_bits:
+            raise BitmapLengthMismatchError(num_bits, bitmap.num_bits)
+        if groups is None:
+            combine = or_words_into if op == "or" else andnot_words_into
+            combine(target, bitmap.word_array)
+        elif op == "or":
+            np.bitwise_or(target, groups, out=target)
+        else:
+            np.bitwise_and(target, ~groups, out=target)
+
     def execute_plan(self, plan: QueryPlan) -> ExecutionResult:
         """Evaluate a plan's bitmap algebra; returns answer + IO.
+
+        The whole plan is evaluated into one ``uint32`` accumulator of
+        31-bit groups: COMPLETE members and INCLUSIVE leaves are ORed
+        into it in place, and an EXCLUSIVE atom ORs in a copy of its
+        node's groups from which its removal leaves were cleared.  The
+        answer is encoded to WAH once, at the end.  Pinned members are
+        combined from their resident group arrays, which stay
+        untouched.
 
         ``io_bytes`` comes from a private per-call accountant attributed
         to the calling thread, not from a snapshot diff of the shared
@@ -573,7 +641,9 @@ class QueryExecutor:
         local = IOAccountant()
         num_bits = self._num_rows()
         events: list[DegradedRead] = []
-        terms: list[WahBitmap] = []
+        leaf_node_id = self._catalog.hierarchy.leaf_node_id
+        acc = np.zeros(groups_for_bits(num_bits), dtype=np.uint32)
+        width = 0
         with span(
             "executor.plan",
             query=plan.query.label or repr(plan.query),
@@ -588,31 +658,30 @@ class QueryExecutor:
                 )
                 if atom.label is StrategyLabel.COMPLETE:
                     assert atom.node_id is not None
-                    term = self._bitmap(atom.node_id, events)
+                    self._apply(acc, atom.node_id, "or", num_bits, events)
+                    width += 1
                 elif atom.label is StrategyLabel.INCLUSIVE:
-                    term = WahBitmap.union_all(
-                        (
-                            self._leaf_bitmap(value, events)
-                            for value in atom.leaf_values
-                        ),
-                        num_bits=num_bits,
-                    )
-                else:  # EXCLUSIVE
+                    for value in atom.leaf_values:
+                        self._apply(
+                            acc, leaf_node_id(value), "or", num_bits, events
+                        )
+                    width += len(atom.leaf_values)
+                else:  # EXCLUSIVE: the node ANDNOT its removal leaves
                     assert atom.node_id is not None
-                    node_bitmap = self._bitmap(atom.node_id, events)
-                    removal = WahBitmap.union_all(
-                        (
-                            self._leaf_bitmap(value, events)
-                            for value in atom.leaf_values
-                        ),
-                        num_bits=num_bits,
-                    )
-                    term = node_bitmap.andnot(removal)
-                terms.append(term)
-            # One k-way union over all atoms (vectorized kernel path)
-            # instead of a left-to-right OR fold over a growing answer.
-            answer = WahBitmap.union_all(terms, num_bits=num_bits)
-            get_metrics().observe("union_width", len(terms))
+                    term = np.zeros_like(acc)
+                    self._apply(term, atom.node_id, "or", num_bits, events)
+                    for value in atom.leaf_values:
+                        self._apply(
+                            term,
+                            leaf_node_id(value),
+                            "andnot",
+                            num_bits,
+                            events,
+                        )
+                    np.bitwise_or(acc, term, out=acc)
+                    width += 1
+            answer = WahBitmap.from_groups(acc, num_bits)
+            get_metrics().observe("union_width", width)
             sp.annotate(
                 io_bytes=local.bytes_read,
                 degraded=len(events),
@@ -645,6 +714,10 @@ class QueryExecutor:
             an empty selection return ``0`` for count/sum and ``nan``
             for avg/min/max.
         """
+        if agg != "count" and agg not in _REDUCERS:
+            raise ValueError(
+                f"agg must be one of count/sum/avg/min/max, got {agg!r}"
+            )
         measure = np.asarray(measure)
         expected_rows = self._num_rows()
         if measure.shape != (expected_rows,):
@@ -654,24 +727,13 @@ class QueryExecutor:
                 f"{measure.shape}"
             )
         result = self.execute_plan(plan)
-        positions = result.answer.to_positions()
         if agg == "count":
-            return float(positions.size), result
+            return float(result.answer.count()), result
+        positions = result.answer.to_positions()
         if positions.size == 0:
             value = 0.0 if agg == "sum" else float("nan")
             return value, result
-        selected = measure[positions]
-        if agg == "sum":
-            return float(selected.sum()), result
-        if agg == "avg":
-            return float(selected.mean()), result
-        if agg == "min":
-            return float(selected.min()), result
-        if agg == "max":
-            return float(selected.max()), result
-        raise ValueError(
-            f"agg must be one of count/sum/avg/min/max, got {agg!r}"
-        )
+        return float(_REDUCERS[agg](measure[positions])), result
 
     def explain_analyze(
         self,

@@ -12,6 +12,12 @@ Implements the caching semantics the paper's three cases assume:
 A small LRU overflow area can optionally use whatever budget the pinned
 set leaves free — disabled by default to match the paper's accounting.
 
+A pinned payload may also carry one *view*: a value a reader derived
+from it once (the executor keeps the decoded bitmap and its expanded
+31-bit group array there), served by :meth:`BufferPool.pinned_view`
+until the pin is dropped.  The pool never looks inside a view; it only
+ties the view's lifetime to the exact pinned ``bytes`` object.
+
 The pool is **thread-safe** and built for the concurrent serving layer
 (:mod:`repro.serve`):
 
@@ -128,6 +134,8 @@ class BufferPool:
         self._retry = retry_policy or DEFAULT_RETRY_POLICY
         self._pinned: dict[str, bytes] = {}
         self._pinned_bytes = 0
+        # name -> (the pinned bytes object a view was derived from, view)
+        self._views: dict[str, tuple[bytes, object]] = {}
         self._lru: OrderedDict[str, bytes] = OrderedDict()
         self._lru_bytes = 0
         # Reentrant: clear() drops both tiers under one critical
@@ -408,6 +416,7 @@ class BufferPool:
                 )
             self._pinned.clear()
             self._pinned_bytes = 0
+            self._views.clear()
 
     def get(self, name: str) -> bytes:
         """Fetch a file through the pool.
@@ -435,6 +444,34 @@ class BufferPool:
         with self._lock:
             self._maybe_admit(name, payload)
         return payload
+
+    def pinned_view(self, name: str, payload: bytes, build):
+        """The view of a pinned payload, built by ``build(payload)`` on
+        first use and kept resident until the pin is dropped.
+
+        ``payload`` is what :meth:`get` just returned for ``name``; the
+        hit itself (its trace event, metrics and IO attribution) is
+        :meth:`get`'s, this call adds none.  Returns ``None`` without
+        calling ``build`` unless ``payload`` is the very ``bytes``
+        object pinned under ``name``, so a reloaded or re-pinned file
+        never meets a view derived from its old bytes.  ``build``
+        runs outside the lock and its errors propagate with nothing
+        cached; callers treat the view as read-only, since every
+        reader of the pin shares it.  :meth:`invalidate`,
+        :meth:`reload`, :meth:`unpin_all` and :meth:`clear` drop the
+        view together with the pin.
+        """
+        with self._lock:
+            if self._pinned.get(name) is not payload:
+                return None
+            cached = self._views.get(name)
+            if cached is not None and cached[0] is payload:
+                return cached[1]
+        view = build(payload)
+        with self._lock:
+            if self._pinned.get(name) is payload:
+                self._views[name] = (payload, view)
+        return view
 
     def _maybe_admit(self, name: str, payload: bytes) -> None:
         # Caller holds the lock.
@@ -510,6 +547,7 @@ class BufferPool:
                 if target in self._pinned:
                     payload = self._pinned.pop(target)
                     self._pinned_bytes -= len(payload)
+                    self._views.pop(target, None)
                     if target == name:
                         was_pinned = True
                     record(

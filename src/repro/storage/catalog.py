@@ -304,15 +304,16 @@ class MaterializedNodeCatalog(NodeCatalog):
         column: np.ndarray,
         store: BitmapFileStore | None = None,
     ):
-        # Built (and the column validated) before anything is written,
-        # so a bad column leaves the store untouched.
+        # The column is validated before anything is written, so a bad
+        # column leaves the store untouched; each node is then written
+        # as soon as the builder forms it.
         bitmaps = build_node_bitmaps(hierarchy, column)
         self._store = store if store is not None else BitmapFileStore()
         densities = np.empty(hierarchy.num_nodes, dtype=float)
         sizes = np.empty(hierarchy.num_nodes, dtype=float)
         num_rows = int(np.asarray(column).size)
         with self._begin_write(hierarchy, num_rows) as write_file:
-            for node_id, bitmap in enumerate(bitmaps):
+            for node_id, bitmap in bitmaps:
                 payload = serialize_wah(bitmap)
                 write_file(node_file_name(node_id), payload)
                 densities[node_id] = bitmap.density()

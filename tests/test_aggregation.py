@@ -85,6 +85,29 @@ class TestAggregates:
             leaf_only_plan(catalog, query), measure, "avg"
         )
         assert np.isnan(avg)
+        # An unknown aggregate is an error even when nothing matches.
+        with pytest.raises(ValueError):
+            executor.aggregate(
+                leaf_only_plan(catalog, query), measure, "median"
+            )
+
+    def test_count_does_not_materialize_positions(
+        self, materialized_setup, measure, monkeypatch
+    ):
+        from repro.bitmap.wah import WahBitmap
+
+        _hierarchy, column, catalog = materialized_setup
+        query = RangeQuery([(2, 12)])
+        executor = QueryExecutor(catalog)
+
+        def refuse(_self):
+            raise AssertionError("count materialized every position")
+
+        monkeypatch.setattr(WahBitmap, "to_positions", refuse)
+        count, _ = executor.aggregate(
+            leaf_only_plan(catalog, query), measure, "count"
+        )
+        assert count == float(((column >= 2) & (column <= 12)).sum())
 
     def test_validation(self, materialized_setup, measure):
         _hierarchy, _column, catalog = materialized_setup

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.builder import build_node_bitmaps
+from repro.bitmap import builder
 from repro.bitmap.wah import WahBitmap
 from repro.errors import WorkloadError
 from repro.hierarchy import paper_hierarchy
@@ -27,6 +28,13 @@ def hierarchy() -> Hierarchy:
 def column() -> np.ndarray:
     rng = np.random.default_rng(42)
     return rng.integers(0, 10, size=5000).astype(np.int64)
+
+
+def build_node_bitmaps(hierarchy, column) -> list[WahBitmap]:
+    """Every node's bitmap from the streaming builder, by node id."""
+    built = dict(builder.build_node_bitmaps(hierarchy, column))
+    assert sorted(built) == list(range(hierarchy.num_nodes))
+    return [built[node_id] for node_id in range(hierarchy.num_nodes)]
 
 
 def _leaf_bitmaps(hierarchy, bitmaps) -> list[WahBitmap]:
@@ -78,6 +86,57 @@ class TestLeafBitmaps:
         ]:
             with pytest.raises(WorkloadError, match=match):
                 build_node_bitmaps(hierarchy, column)
+
+
+class TestStreaming:
+    """The builder hands out nodes children-first as it forms them and
+    keeps only what a pending parent still needs."""
+
+    def test_validates_before_the_first_node(self, hierarchy):
+        # No iteration: the call itself rejects the column.
+        with pytest.raises(WorkloadError):
+            builder.build_node_bitmaps(hierarchy, np.array([10]))
+
+    def test_children_before_parents(self, hierarchy, column):
+        seen = set()
+        for node_id, _bitmap in builder.build_node_bitmaps(
+            hierarchy, column
+        ):
+            assert set(hierarchy.node(node_id).children) <= seen
+            seen.add(node_id)
+        assert seen == set(range(hierarchy.num_nodes))
+
+    def test_live_set_is_one_path_of_pending_children(self, monkeypatch):
+        hierarchy = Hierarchy.from_nested([[4, 4, 4], [4, 4, 4], [4, 4]])
+        column = np.random.default_rng(5).integers(0, 32, size=3000)
+        made: list[WahBitmap] = []
+
+        class Tracking:
+            """Records every bitmap the builder makes."""
+
+            @staticmethod
+            def from_positions(positions, num_bits):
+                made.append(WahBitmap.from_positions(positions, num_bits))
+                return made[-1]
+
+            @staticmethod
+            def union_all(bitmaps, num_bits=None):
+                made.append(WahBitmap.union_all(bitmaps, num_bits=num_bits))
+                return made[-1]
+
+        monkeypatch.setattr(builder, "WahBitmap", Tracking)
+        most_live = 0
+        for _node_id, _bitmap in builder.build_node_bitmaps(
+            hierarchy, column
+        ):
+            # A bitmap nothing else holds has three references here:
+            # ``made``, the loop variable and getrefcount's argument.
+            live = sum(sys.getrefcount(bitmap) > 3 for bitmap in made)
+            most_live = max(most_live, live)
+        assert len(made) == hierarchy.num_nodes
+        # At most: the yielded node, three finished leaves of one
+        # leaf-parent, two of one middle node and two of the root.
+        assert most_live <= 8
 
 
 class TestSpanBitmap:

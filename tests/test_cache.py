@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.bitmap.plain import PlainBitmap
@@ -314,6 +316,90 @@ class TestInvalidationObservability:
             if event.kind == "cache.clear"
         ]
         assert metrics.counter("cache_invalidations_total") == 0
+
+
+class _View:
+    """A weak-referenceable stand-in for a decoded view."""
+
+    def __init__(self, number: int):
+        self.number = number
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _View) and other.number == self.number
+
+
+class TestPinnedViews:
+    """A view is built once per pinned ``bytes`` object and dropped
+    with the pin."""
+
+    @staticmethod
+    def _counting_build():
+        built = []
+
+        def build(payload):
+            built.append(payload)
+            return _View(len(built))
+
+        return built, build
+
+    def test_built_once_per_pinned_payload(self, store):
+        pool = BufferPool(store)
+        pool.pin(["node_0.wah"])
+        built, build = self._counting_build()
+        first = pool.pinned_view("node_0.wah", pool.get("node_0.wah"), build)
+        again = pool.pinned_view("node_0.wah", pool.get("node_0.wah"), build)
+        assert first == again == _View(1)
+        assert len(built) == 1
+
+    def test_none_unless_the_payload_is_the_pinned_object(self, store):
+        pool = BufferPool(store)
+        built, build = self._counting_build()
+        payload = pool.get("node_1.wah")  # LRU-resident, not pinned
+        assert pool.pinned_view("node_1.wah", payload, build) is None
+        pool.pin(["node_0.wah"])
+        copy = bytes(bytearray(pool.get("node_0.wah")))
+        assert pool.pinned_view("node_0.wah", copy, build) is None
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda pool: pool.reload("node_0.wah"),
+            lambda pool: pool.invalidate("node_0.wah"),
+            lambda pool: pool.unpin_all(),
+            lambda pool: pool.clear(),
+        ],
+        ids=["reload", "invalidate", "unpin_all", "clear"],
+    )
+    def test_dropped_with_the_pin(self, store, drop):
+        pool = BufferPool(store)
+        pool.pin(["node_0.wah"])
+        built, build = self._counting_build()
+        old = pool.get("node_0.wah")
+        view = weakref.ref(pool.pinned_view("node_0.wah", old, build))
+        assert view() == _View(1)
+        store.write("node_0.wah", b"\x01" * 100)
+        drop(pool)
+        assert view() is None  # the pool no longer holds it
+        assert pool.pinned_view("node_0.wah", old, build) is None
+        pool.pin(["node_0.wah"])
+        fresh = pool.get("node_0.wah")
+        assert fresh == b"\x01" * 100
+        assert pool.pinned_view("node_0.wah", fresh, build) == _View(2)
+        assert built == [old, fresh]
+
+    def test_build_errors_cache_nothing(self, store):
+        pool = BufferPool(store)
+        pool.pin(["node_0.wah"])
+        payload = pool.get("node_0.wah")
+
+        def fail(_payload):
+            raise ValueError("undecodable")
+
+        with pytest.raises(ValueError):
+            pool.pinned_view("node_0.wah", payload, fail)
+        built, build = self._counting_build()
+        assert pool.pinned_view("node_0.wah", payload, build) == _View(1)
 
 
 class TestMisc:

@@ -4,10 +4,22 @@ accounting checked against the plan's prediction."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import Hierarchy, MaterializedNodeCatalog
+from repro.bitmap.serialization import serialize_wah
+from repro.bitmap.wah import WahBitmap
+from repro.core.costs import StrategyLabel
 from repro.core.executor import QueryExecutor, scan_answer
-from repro.core.opnodes import build_query_plan, leaf_only_plan
+from repro.core.opnodes import (
+    PlanAtom,
+    QueryPlan,
+    build_query_plan,
+    leaf_only_plan,
+)
 from repro.core.single import (
     exclusive_cut,
     hybrid_cut,
@@ -15,6 +27,7 @@ from repro.core.single import (
 )
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import node_file_name
+from repro.serve.batch import BatchExecutor
 from repro.storage.costmodel import MB
 from repro.workload.query import RangeQuery, Workload
 
@@ -231,3 +244,251 @@ class TestScanAnswer:
             (column <= 1) | (column >= 14)
         ).sum()
         assert answer.count() == expected
+
+
+def _disjoint_members(hierarchy, candidates) -> list[int]:
+    """Keep each candidate whose leaf span overlaps no earlier keeper."""
+    taken: list[tuple[int, int]] = []
+    for node_id in candidates:
+        node = hierarchy.node(node_id)
+        if all(
+            node.leaf_hi < lo or node.leaf_lo > hi for lo, hi in taken
+        ):
+            taken.append((node.leaf_lo, node.leaf_hi))
+            yield node_id
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the fused evaluator combines in place")
+
+
+def _not_built(_payload):
+    raise AssertionError("no resident view: the payload was not read")
+
+
+def _pinned_views(executor, names):
+    """The resident ``(bitmap, groups)`` view of each pinned name."""
+    pool = executor.pool
+    return {
+        name: pool.pinned_view(name, pool.get(name), _not_built)
+        for name in names
+    }
+
+
+class TestFusedEvaluator:
+    """One group accumulator per plan: every atom label, pinned or
+    not, matches the column scan word for word."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_matches_scan_for_any_plan(
+        self, materialized_setup, monkeypatch, data
+    ):
+        hierarchy, column, catalog = materialized_setup
+        # Composite WahBitmap operations are not part of the plan
+        # evaluation (no degraded reads happen here).
+        monkeypatch.setattr(WahBitmap, "union_all", _refuse)
+        monkeypatch.setattr(WahBitmap, "andnot", _refuse)
+        leaves = hierarchy.num_leaves
+        specs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, leaves - 1), st.integers(0, leaves - 1)
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        query = RangeQuery([(min(a, b), max(a, b)) for a, b in specs])
+        order = data.draw(st.permutations(range(hierarchy.num_nodes)))
+        count = data.draw(st.integers(0, 6))
+        members = list(_disjoint_members(hierarchy, order))[:count]
+        labels = {
+            node_id: data.draw(
+                st.sampled_from(
+                    [StrategyLabel.INCLUSIVE, StrategyLabel.EXCLUSIVE]
+                )
+            )
+            for node_id in members
+        }
+        # Pin nothing, the cut, or every node (so removal leaves of
+        # EXCLUSIVE atoms are pinned too).
+        pinned = data.draw(
+            st.sampled_from([(), members, range(hierarchy.num_nodes)])
+        )
+        plan = build_query_plan(catalog, query, members, labels=labels)
+        executor = QueryExecutor(catalog, BufferPool(catalog.store))
+        executor.pin_cut(pinned)
+        expected = scan_answer(column, query)
+        for _ in range(2):  # the second run meets the resident views
+            result = executor.execute_plan(plan)
+            assert result.answer == expected
+            assert not result.degraded
+
+    def test_every_atom_label_against_a_pinned_cut(
+        self, materialized_setup
+    ):
+        hierarchy, column, catalog = materialized_setup
+        # Leaf-parents: the first fully covered (COMPLETE), the second
+        # missing one leaf (EXCLUSIVE), the third with one leaf in range
+        # (INCLUSIVE); leaves past them are read uncovered (INCLUSIVE).
+        parents = [
+            node.node_id
+            for node in hierarchy
+            if not node.is_leaf
+            and all(hierarchy.node(c).is_leaf for c in node.children)
+        ][:3]
+        first, second, third = (hierarchy.node(p) for p in parents)
+        query = RangeQuery([
+            (first.leaf_lo, second.leaf_hi - 1),
+            (third.leaf_lo, third.leaf_lo),
+            (hierarchy.num_leaves - 1, hierarchy.num_leaves - 1),
+        ])
+        labels = {
+            first.node_id: StrategyLabel.INCLUSIVE,
+            second.node_id: StrategyLabel.EXCLUSIVE,
+            third.node_id: StrategyLabel.INCLUSIVE,
+        }
+        plan = build_query_plan(catalog, query, parents, labels=labels)
+        assert {atom.label for atom in plan.atoms} == {
+            StrategyLabel.COMPLETE,
+            StrategyLabel.INCLUSIVE,
+            StrategyLabel.EXCLUSIVE,
+        }
+        executor = QueryExecutor(catalog, BufferPool(catalog.store))
+        executor.pin_cut(parents)
+        # The INCLUSIVE member is answered from its leaves alone.
+        names = [node_file_name(p) for p in parents[:2]]
+        for _ in range(3):
+            assert executor.execute_plan(plan).answer == scan_answer(
+                column, query
+            )
+        for bitmap, groups in _pinned_views(executor, names).values():
+            assert not groups.flags.writeable
+            assert WahBitmap.from_groups(groups, bitmap.num_bits) == bitmap
+
+
+@pytest.mark.parametrize("pin", [False, True], ids=["unpinned", "pinned"])
+def test_atoms_are_independent_or_terms(materialized_setup, pin):
+    """An EXCLUSIVE atom clears its removal leaves from its own term
+    only, never from what earlier atoms ORed in."""
+    hierarchy, column, catalog = materialized_setup
+    parent = next(node for node in hierarchy if node.num_leaves == 3)
+    leaf = parent.leaf_lo
+    query = RangeQuery([(parent.leaf_lo, parent.leaf_hi)])
+    plan = QueryPlan(
+        query=query,
+        atoms=(
+            PlanAtom(StrategyLabel.INCLUSIVE, None, (leaf,)),
+            PlanAtom(StrategyLabel.EXCLUSIVE, parent.node_id, (leaf,)),
+        ),
+        operation_node_ids=frozenset(),
+        predicted_cost_mb=0.0,
+    )
+    executor = QueryExecutor(catalog, BufferPool(catalog.store))
+    if pin:
+        executor.pin_cut(range(hierarchy.num_nodes))
+    for _ in range(2):
+        assert executor.execute_plan(plan).answer == scan_answer(
+            column, query
+        )
+
+
+class TestPinnedViewsNeverGoStale:
+    """A pinned member's resident group array follows its payload:
+    after the file is rewritten and the pin reloaded, invalidated or
+    dropped, the next answer is the new payload's."""
+
+    @staticmethod
+    def _setup():
+        hierarchy = Hierarchy.from_nested([[3, 3], [2, 4]])
+        rng = np.random.default_rng(17)
+        column = rng.integers(0, hierarchy.num_leaves, size=5000)
+        catalog = MaterializedNodeCatalog(hierarchy, column)
+        member = hierarchy.internal_children(hierarchy.root_id)[0]
+        node = hierarchy.node(member)
+        query = RangeQuery([(node.leaf_lo, node.leaf_hi)])
+        executor = QueryExecutor(catalog, BufferPool(catalog.store))
+        executor.pin_cut([member])
+        plan = build_query_plan(
+            catalog, query, [member], node_is_cached=True
+        )
+        assert [atom.label for atom in plan.atoms] == [
+            StrategyLabel.COMPLETE
+        ]
+        assert executor.execute_plan(plan).answer == scan_answer(
+            column, query
+        )
+        replacement = WahBitmap.from_positions(
+            rng.choice(column.size, size=40, replace=False), column.size
+        )
+        name = node_file_name(member)
+        catalog.store.write(name, serialize_wah(replacement))
+        return executor, plan, name, replacement
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda pool, name: pool.reload(name),
+            lambda pool, name: pool.invalidate(name),
+            lambda pool, name: pool.unpin_all(),
+            lambda pool, name: pool.clear(),
+        ],
+        ids=["reload", "invalidate", "unpin_all", "clear"],
+    )
+    def test_answer_follows_the_rewritten_payload(self, drop):
+        executor, plan, name, replacement = self._setup()
+        # Until the pin is dropped, the pinned bytes answer.
+        assert executor.execute_plan(plan).answer != replacement
+        drop(executor.pool, name)
+        assert executor.execute_plan(plan).answer == replacement
+        assert executor.execute_plan(plan).answer == replacement
+
+
+@pytest.mark.stress
+def test_concurrent_exclusive_plans_share_pinned_views(materialized_setup):
+    """Many workers evaluate EXCLUSIVE-heavy plans over one pinned cut:
+    each answer equals the serial one and the shared group arrays are
+    never written."""
+    hierarchy, column, catalog = materialized_setup
+    members = [
+        node.node_id
+        for node in hierarchy
+        if not node.is_leaf
+        and all(hierarchy.node(c).is_leaf for c in node.children)
+    ]
+    last = hierarchy.num_leaves - 1
+    queries = [
+        RangeQuery([(lo, last - hi)]) for lo in range(3) for hi in range(3)
+    ] * 4
+    executor = QueryExecutor(catalog, BufferPool(catalog.store))
+    executor.pin_cut(members)
+    plans = [
+        build_query_plan(catalog, query, members, node_is_cached=True)
+        for query in queries
+    ]
+    assert sum(
+        atom.label is StrategyLabel.EXCLUSIVE
+        for plan in plans
+        for atom in plan.atoms
+    ) >= len(queries)
+    serial = BatchExecutor(executor, max_workers=1).run(
+        queries, members, node_is_cached=True
+    )
+    names = [node_file_name(node_id) for node_id in members]
+    views = _pinned_views(executor, names)
+    before = {name: groups.copy() for name, (_b, groups) in views.items()}
+    report = BatchExecutor(executor, max_workers=8).run(
+        queries, members, node_is_cached=True
+    )
+    assert report.reconciles()
+    for got, want, query in zip(report.results, serial.results, queries):
+        assert got.answer == want.answer == scan_answer(column, query)
+    after = _pinned_views(executor, names)
+    for name, (_bitmap, groups) in after.items():
+        assert groups is views[name][1]
+        assert np.array_equal(groups, before[name])

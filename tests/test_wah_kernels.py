@@ -496,6 +496,131 @@ class TestRegimes:
         assert decoded.to_positions().tolist() == expected[3]
 
 
+def _oracle_groups(words) -> np.ndarray:
+    """The payload of every group of a word stream, by the oracle."""
+    return np.array(
+        [
+            payload
+            for payload, count in ref.iter_groups(words)
+            for _ in range(count)
+        ],
+        dtype=np.uint32,
+    )
+
+
+ACCUMULATE = {
+    "or": kernels.or_words_into,
+    "andnot": kernels.andnot_words_into,
+}
+
+
+def _accumulated(base: WahBitmap, steps, monkeypatch=None, dense=None):
+    """``(kernel words, oracle words)`` of applying ``(op, bitmap)``
+    steps in place to a group array holding ``base``; with
+    ``monkeypatch``, the regime other than ``dense`` is disabled
+    first."""
+    expected = list(base.words)
+    for op, bitmap in steps:
+        expected = ref.binary(expected, bitmap.words, op)
+    acc = _oracle_groups(base.words)
+    if monkeypatch is not None:
+        _force_regime(monkeypatch, dense)
+    for op, bitmap in steps:
+        ACCUMULATE[op](acc, bitmap.word_array)
+    return WahBitmap.from_groups(acc, base.num_bits).words, tuple(expected)
+
+
+class TestAccumulators:
+    """``or_words_into`` / ``andnot_words_into`` leave the group array
+    the scalar oracle's binary ops describe, word for word once
+    encoded, on both sides of the regime gate."""
+
+    @given(bitmap_list(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_operands_match_oracle(self, operands, data):
+        num_bits, bitmaps = operands
+        base = data.draw(wah_bitmap(num_bits))
+        ops = data.draw(
+            st.lists(
+                st.sampled_from(sorted(ACCUMULATE)),
+                min_size=len(bitmaps),
+                max_size=len(bitmaps),
+            )
+        )
+        got, expected = _accumulated(base, list(zip(ops, bitmaps)))
+        assert got == expected
+
+    @pytest.mark.parametrize("op", sorted(ACCUMULATE))
+    @pytest.mark.parametrize("tail_bits", [0, 1, 17, 30])
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.5, 1.0])
+    def test_long_fills_and_partial_final_group(
+        self, op, tail_bits, density
+    ):
+        num_bits = 31 * 400 + tail_bits
+        rng = np.random.default_rng(int(density * 100) + tail_bits)
+        base = WahBitmap.from_dense(rng.random(num_bits) < density)
+        # 1-fills of many groups, one running into the final group.
+        fills = WahBitmap.from_runs(
+            [(3, 31 * 40 + 9), (31 * 100, 31 * 260), (31 * 399, num_bits)],
+            num_bits,
+        )
+        scattered = WahBitmap.from_dense(rng.random(num_bits) < 0.01)
+        got, expected = _accumulated(
+            base, [(op, fills), (op, scattered), ("or", fills)]
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("op", sorted(ACCUMULATE))
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_each_regime(self, monkeypatch, op, dense):
+        bitmaps = TestRegimes()._operands(dense, 4)
+        num_bits = bitmaps[0].num_bits
+        # Long 1-fills (and, when dense, literals around them).
+        fills = WahBitmap.from_runs(
+            [(100, 5000), (6000, num_bits - 3)], num_bits
+        )
+        bitmaps.append(fills ^ bitmaps[1] if dense else fills)
+        got, expected = _accumulated(
+            bitmaps[0],
+            [(op, bitmap) for bitmap in bitmaps[1:]],
+            monkeypatch,
+            dense,
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("op", sorted(ACCUMULATE))
+    @pytest.mark.parametrize("extra_groups", [0, 1], ids=["on", "over"])
+    def test_on_the_threshold(self, monkeypatch, op, extra_groups):
+        # 8 words over 64 groups: exactly DENSE_GROUPS_PER_WORD groups
+        # per word, plus extra_groups.
+        base = _spaced(4, 16, 3, extra_groups) | _spaced(
+            4, 16, 11, extra_groups
+        )
+        operand = _spaced(4, 16, 11, extra_groups)
+        assert operand.num_words * kernels.DENSE_GROUPS_PER_WORD == 64
+        got, expected = _accumulated(
+            base, [(op, operand)], monkeypatch, dense=not extra_groups
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("op", sorted(ACCUMULATE))
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_group_count_mismatch_raises(self, monkeypatch, op, dense):
+        if dense:
+            acc = np.zeros(2, dtype=np.uint32)
+            words = WahBitmap.from_positions([3], 31).word_array
+        else:
+            acc = np.zeros(1000, dtype=np.uint32)
+            words = WahBitmap.zeros(31 * 999).word_array
+        _force_regime(monkeypatch, dense)
+        with pytest.raises(BitmapDecodeError):
+            ACCUMULATE[op](acc, words)
+
+    def test_from_groups_rejects_a_wrong_group_count(self):
+        with pytest.raises(ValueError):
+            WahBitmap.from_groups(np.zeros(3, dtype=np.uint32), 31)
+
+
 class TestWordArray:
     def test_words_are_one_read_only_uint32_array(self):
         bitmap = WahBitmap.from_positions([1, 40, 99], 100)
